@@ -2,7 +2,7 @@
 Closed form versus time-stepping oracle
 =======================================
 
-The exponential-time-differencing integrator knows only the PDE; the
+The integrating-factor RK4 integrator knows only the PDE; the
 closed form knows only the integrating-factor algebra. Agreement of the
 two, and clean 4th-order error decay under step halving, is the
 strongest internal evidence that both are right.

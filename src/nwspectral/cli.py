@@ -216,12 +216,16 @@ def _fmt17(value):
     return "%.17g" % value
 
 
-def _write_csv(path, header, rows):
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    data = "\r\n".join(lines) + "\r\n"
+def _field_rows(x, u):
+    """CSV rows of one field, "x,u" at %.17g with CRLF endings, formatted
+    in one operation; the same text as joining _fmt17 of every value."""
+    values = np.column_stack((x, u)).ravel().tolist()
+    return ("%.17g,%.17g\r\n" * len(x)) % tuple(values)
+
+
+def _write_csv(path, header, body):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+        fh.write(header + "\r\n" + body)
 
 
 def _write_json(path, payload):
@@ -340,8 +344,7 @@ def cmd_solve(config_path, out_dir, svg):
     files = {}
     for k, (t, u) in enumerate(zip(config.times, columns)):
         name = "%s_t%03d.csv" % (config.basename, k)
-        rows = [(_fmt17(xv), _fmt17(uv)) for xv, uv in zip(x, u)]
-        _write_csv(os.path.join(out_dir, name), "x,u", rows)
+        _write_csv(os.path.join(out_dir, name), "x,u", _field_rows(x, u))
         files[name] = {"time": t}
         if svg:
             sname = "%s_t%03d.svg" % (config.basename, k)
@@ -422,9 +425,9 @@ def cmd_sweep(config_path, out_path):
     for eps, b, p in itertools.product(eps_values, b_values, p_values):
         locus = _conv.root_locus(PhysicalParams(D, b, eps, p))
         t0 = locus.t0 if locus.t0 is not None else math.nan
-        rows.append((_fmt17(eps), _fmt17(b), "%d" % p, _fmt17(t0),
-                     locus.regime))
-    _write_csv(out_path, "eps,b,p,t0,regime", rows)
+        rows.append("%s,%s,%d,%s,%s\r\n" % (_fmt17(eps), _fmt17(b), p,
+                                              _fmt17(t0), locus.regime))
+    _write_csv(out_path, "eps,b,p,t0,regime", "".join(rows))
     print("wrote %d row(s) to %s" % (len(rows), out_path))
     return 0
 
@@ -477,8 +480,7 @@ def main(argv=None):
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 1
-    except (SolverError, ValueError, ZeroDivisionError,
-            FloatingPointError) as exc:
+    except (SolverError, ValueError, ArithmeticError) as exc:
         sys.stderr.write("solver error (%s): %s\n"
                          % (_originating_module(exc), exc))
         return 2

@@ -1,94 +1,18 @@
 """Closed-form kernels: the heat kernel and its codomain Gaussian, the
 rooted kernel, iterated Gaussian self-convolutions, and the two
-transform-table pairs built on an in-repo complementary error function.
+transform-table pairs, the second built on scipy's erfc and erfcx.
+
+`erfc` is scipy.special.erfc, re-exported under the package's name.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc, erfcx
 
 from .core import PhysicalParams
 from .spectral import circular_convolve
-
-SQRT_PI = math.sqrt(math.pi)
-
-# erfc evaluation strategy: a positive-term confluent series for small
-# arguments, a continued fraction for large ones. The crossover at 2.0
-# keeps the 1 - erf cancellation below ~1e-13 relative.
-_ERFC_CROSSOVER = 2.0
-_SERIES_MAX_TERMS = 200
-_CF_MAX_ITERS = 200
-_TINY = 1e-300
-
-
-def _erf_series(x):
-    # erf(x) = (2x/sqrt(pi)) e^(-x^2) sum_n (2x^2)^n / (1*3*...*(2n+1)),
-    # every term positive, so no cancellation.
-    z = 2.0 * x * x
-    term = 1.0
-    total = 1.0
-    for n in range(1, _SERIES_MAX_TERMS):
-        term *= z / (2.0 * n + 1.0)
-        total += term
-        if term < 1e-17 * total:
-            break
-    return (2.0 * x / SQRT_PI) * math.exp(-x * x) * total
-
-
-def _erfc_cf(x):
-    # sqrt(pi) e^(x^2) erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
-    # evaluated by the modified Lentz algorithm.
-    f = _TINY
-    c = f
-    d = 0.0
-    for k in range(_CF_MAX_ITERS):
-        a = 1.0 if k == 0 else 0.5 * k
-        b = x
-        d = b + a * d
-        if d == 0.0:
-            d = _TINY
-        c = b + a / c
-        if c == 0.0:
-            c = _TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x * x) / SQRT_PI * f
-
-
-def _erfc_scalar(x):
-    if math.isnan(x):
-        return math.nan
-    if x < 0.0:
-        return 2.0 - _erfc_scalar(-x)
-    if x == 0.0:
-        return 1.0
-    if x <= _ERFC_CROSSOVER:
-        return 1.0 - _erf_series(x)
-    if x > 27.0:
-        # erfc underflows past ~27; the continued fraction would return 0 anyway.
-        return 0.0
-    return _erfc_cf(x)
-
-
-def erfc(x):
-    """Complementary error function 1 - erf(x), accurate to >= 1e-12 relative.
-
-    Accepts scalars or arrays.
-    """
-    if np.ndim(x) == 0:
-        return _erfc_scalar(float(x))
-    arr = np.asarray(x, dtype=float)
-    out = np.empty(arr.shape, dtype=float)
-    flat_in = arr.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = _erfc_scalar(flat_in[i])
-    return out
-
 
 def heat_kernel(x, t, D):
     """G(x,t) = e^(-x^2/(4Dt)) / sqrt(4 pi D t), the impulse solution of
@@ -214,6 +138,11 @@ def erfc_pair(x, t, D, b):
     (e^(bt) / (4 sqrt(Db))) [ e^(-x sqrt(b/D)) erfc((2t sqrt(Db) - x)/(2 sqrt(Dt)))
                             + e^(+x sqrt(b/D)) erfc((2t sqrt(Db) + x)/(2 sqrt(Dt))) ].
 
+    Each term is evaluated where its erfc argument z is >= 0 as
+    e^(-x^2/(4Dt)) erfcx(z), the exponents cancelling exactly
+    (bt -+ x sqrt(b/D) - z^2 = -x^2/(4Dt)), and where z < 0 in the direct
+    form, whose exponent is then below -bt. Neither overflows, at any t.
+
     Requires t > 0.
     """
     if not t > 0:
@@ -222,19 +151,18 @@ def erfc_pair(x, t, D, b):
         raise ValueError("D must be positive")
     if not b > 0:
         raise ValueError("b must be positive")
-    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-    root_bd = math.sqrt(D * b)
+    x = np.asarray(x, dtype=float)
     rate = math.sqrt(b / D)
     denom = 2.0 * math.sqrt(D * t)
-    pref = math.exp(b * t) / (4.0 * root_bd)
-    e_minus = erfc((2.0 * t * root_bd - x) / denom)
-    e_plus = erfc((2.0 * t * root_bd + x) / denom)
-    # erfc underflows to exact 0 before the opposing exponential overflows;
-    # force the product to its true 0 limit instead of inf * 0 = nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        left = np.where(e_minus == 0.0, 0.0, np.exp(-x * rate) * e_minus)
-        right = np.where(e_plus == 0.0, 0.0, np.exp(x * rate) * e_plus)
-    return pref * (left + right)
+    shift = 2.0 * t * math.sqrt(D * b)
+    gauss = np.exp(-(x * x) / (denom * denom))
+    total = np.zeros(x.shape)
+    for sign in (-1.0, 1.0):
+        z = (shift + sign * x) / denom
+        big = z >= 0.0
+        total[big] += gauss[big] * erfcx(z[big])
+        total[~big] += np.exp(b * t + sign * rate * x[~big]) * erfc(z[~big])
+    return (total / (4.0 * math.sqrt(D * b)))[()]
 
 
 def erfc_pair_codomain(s, t, D, b):

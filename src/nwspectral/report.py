@@ -509,10 +509,20 @@ def suite_kernels():
     plan = default_plan()
     grid = plan.spectral
 
-    xs = np.linspace(-10.0, 30.0, 4001)
-    gap = float(np.max(np.abs(_kernels.erfc(xs) - _scipy_erfc(xs))))
-    records.append(CheckRecord("kernels/erfc_reference", gap, 1e-13,
-                               {"range": [-10.0, 30.0]}))
+    # erfc_pair's erfcx form against its direct four-factor form
+    # e^(bt) e^(-+x sqrt(b/D)) erfc(z) / (4 sqrt(Db)), at a time where the
+    # direct form is finite; relative gap at every grid point
+    D, b, t = 1.0, 1.0, 0.7
+    xs = plan.spatial.points
+    rate, denom = math.sqrt(b / D), 2.0 * math.sqrt(D * t)
+    shift = 2.0 * t * math.sqrt(D * b)
+    direct = math.exp(b * t) / (4.0 * math.sqrt(D * b)) * (
+        np.exp(-rate * xs) * _scipy_erfc((shift - xs) / denom)
+        + np.exp(rate * xs) * _scipy_erfc((shift + xs) / denom))
+    gap = float(np.max(np.abs(_kernels.erfc_pair(xs, t, D, b) - direct)
+                       / direct))
+    records.append(CheckRecord("kernels/erfc_pair_erfcx_vs_direct", gap,
+                               1e-13, {"t": t, "D": D, "b": b}))
 
     heat = _kernels.heat_kernel(plan.spatial.points, 0.3, 1.0)
     fwd = plan.forward(heat).values

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nwspectral.cli import ConfigError, RunConfig, load_json, main
+from nwspectral.cli import (ConfigError, RunConfig, _field_rows, _fmt17,
+                            load_json, main)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -129,6 +131,31 @@ class TestExitCodes:
         assert rc == 2
         assert "nwspectral.mult" in capsys.readouterr().err
 
+    def test_mult_prefactor_overflow_is_two(self, tmp_path, capsys):
+        # e^((p^2-1) b t) passes the double range at t = 400
+        cfg = _base_config(equation="mult", times=[400.0])
+        cfg["params"]["eps"] = -0.05
+        path = _write(tmp_path, "c.json", cfg)
+        rc = main(["solve", "--config", path,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver error (nwspectral.mult)")
+        assert "Traceback" not in err
+
+    def test_fisher_erfc_at_large_time_is_finite(self, tmp_path, capsys):
+        # e^(bt) alone would overflow at t = 800; the erfcx form does not
+        cfg = _base_config(equation="fisher_erfc", times=[800.0])
+        cfg["params"]["eps"] = 0.05
+        path = _write(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", path, "--out-dir", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        rows = list(csv.reader((out / "run_t000.csv").open(newline="")))
+        assert len(rows) == 65
+        assert all(math.isfinite(float(u)) for _, u in rows[1:])
+
     def test_solve_success_is_zero(self, tmp_path, capsys):
         path = _write(tmp_path, "c.json", _base_config())
         rc = main(["solve", "--config", path,
@@ -175,6 +202,18 @@ class TestSolveOutputs:
         got = (out / "golden_t000.csv").read_bytes()
         with open(os.path.join(DATA, "golden_t000.csv"), "rb") as fh:
             assert got == fh.read()
+
+    def test_bulk_rows_match_per_value_formatting(self):
+        x = np.array([-1.5, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                      1.0 / 3.0, 1e300, -7.0, 0.1])
+        u = np.array([math.nan, -math.nan, math.inf, -math.inf, -0.0,
+                      -5e-324, 1.5e-310, 123456789.0, -2.5e-17])
+        want = "".join("%s,%s\r\n" % (_fmt17(a), _fmt17(b))
+                       for a, b in zip(x, u))
+        assert _field_rows(x, u) == want
+        assert want.split("\r\n")[:5] == [
+            "-1.5,nan", "-0,nan", "0,inf", "4.9406564584124654e-324,-inf",
+            "2.2250738585072014e-308,-0"]
 
     def test_csv_header_and_line_endings(self, tmp_path):
         out = tmp_path / "out"
