@@ -22,7 +22,7 @@ from .conv import (ConvSolution, RootReport, bernoulli_residual,
                    bernoulli_terms, beta_of, codomain_ode_residual,
                    fisher_codomain_expansion, fisher_erfc_approx,
                    fisher_erfc_transform_consistent, h_specific,
-                   large_p_limit, root_locus, solve_codomain, solve_forced,
+                   large_p_limit, root_locus, root_time, solve_forced,
                    solve_physical, solve_with_kernels)
 from .mult import (GrowthWarning, MultSolverPlan, corollary_integrand,
                    fisher_constant_prob, fisher_quadratic,
@@ -51,7 +51,7 @@ __all__ = [
     "ConvSolution", "RootReport", "bernoulli_residual", "bernoulli_terms",
     "beta_of", "codomain_ode_residual", "fisher_codomain_expansion",
     "fisher_erfc_approx", "fisher_erfc_transform_consistent", "h_specific",
-    "large_p_limit", "root_locus", "solve_codomain", "solve_forced",
+    "large_p_limit", "root_locus", "root_time", "solve_forced",
     "solve_physical", "solve_with_kernels",
     "GrowthWarning", "MultSolverPlan", "corollary_integrand",
     "fisher_constant_prob", "fisher_quadratic", "h_mult_certificate",

@@ -18,7 +18,8 @@ from . import __version__
 from . import conv as _conv
 from . import mult as _mult
 from . import report as _report
-from .core import KernelSpec, PhysicalParams, SolverError, make_grids
+from .core import (BAND_LIMIT_FLOOR, KernelSpec, PhysicalParams, SolverError,
+                   make_grids)
 from .spectral import TransformPlan
 from .svgplot import line_plot
 
@@ -33,8 +34,7 @@ _TOP_KEYS = {"equation", "params", "grid", "times", "kernel", "output",
              "prob_product", "t_min"}
 _PARAM_KEYS = {"D", "b", "eps", "p"}
 _GRID_KEYS = {"n", "length"}
-_KERNEL_KEYS = {"C", "factor_count_convention", "quad_rel_tol",
-                "pole_policy"}
+_KERNEL_KEYS = {"C", "quad_rel_tol", "pole_policy"}
 _OUTPUT_KEYS = {"basename"}
 _SWEEP_KEYS = {"eps", "b", "p", "D"}
 _RANGE_KEYS = {"start", "stop", "count"}
@@ -147,8 +147,6 @@ class RunConfig:
         try:
             kernel = KernelSpec(
                 C=_as_float(kblock.get("C", 1.0), "C"),
-                factor_count_convention=kblock.get(
-                    "factor_count_convention", "factors"),
                 quad_rel_tol=_as_float(kblock.get("quad_rel_tol", 1e-10),
                                        "quad_rel_tol"),
                 pole_policy=kblock.get("pole_policy", "report"))
@@ -195,8 +193,6 @@ class RunConfig:
             "times": list(self.times),
             "kernel": {
                 "C": self.kernel.C,
-                "factor_count_convention":
-                    self.kernel.factor_count_convention,
                 "quad_rel_tol": self.kernel.quad_rel_tol,
                 "pole_policy": self.kernel.pole_policy,
             },
@@ -266,18 +262,15 @@ def _solve_fields(config, plan):
     if config.equation == "conv":
         solution = _conv.ConvSolution(params, kernel=config.kernel,
                                       grid=plan.spectral)
-        if params.b != 0.0:
-            locus = _conv.root_locus(params, config.kernel)
-            meta["root_locus"] = {
-                "regime": locus.regime,
-                "t0": locus.t0,
-                "within_times": locus.t0 is not None
-                and min(config.times) <= locus.t0 <= max(config.times),
-            }
+        t_root, regime = _conv.earliest_root(params, config.kernel, freqs)
+        meta["root_locus"] = {"regime": regime, "t0": t_root}
         residuals = {}
+        margins = {}
         for t in config.times:
             field = solution.u_field(t)
-            if np.all(np.isfinite(field.values)):
+            margins[_fmt17(t)] = plan.spectral.band_limit_margin(params.D, t)
+            if (t_root is None or t < t_root) \
+                    and np.all(np.isfinite(field.values)):
                 columns.append(plan.inverse(field))
                 residuals[_fmt17(t)] = _conv_residual(solution, freqs, t)
             else:
@@ -285,6 +278,9 @@ def _solve_fields(config, plan):
                 pole_times.append(t)
                 residuals[_fmt17(t)] = None
         meta["residual_summary"] = {"codomain_ode_relative": residuals}
+        meta["band_limit_margin"] = margins
+        meta["aliasing_flag"] = any(m > BAND_LIMIT_FLOOR
+                                    for m in margins.values())
 
     elif config.equation == "mult":
         extra = {} if config.t_min is None else {"t_min": config.t_min}
@@ -328,8 +324,7 @@ def _solve_fields(config, plan):
         meta["residual_summary"] = {}
 
     meta["pole_times"] = [float(t) for t in pole_times]
-    meta["pole_flag"] = bool(pole_times) or bool(
-        meta.get("root_locus", {}).get("within_times"))
+    meta["pole_flag"] = bool(pole_times)
     return x, columns, meta
 
 
@@ -368,6 +363,8 @@ def cmd_solve(config_path, out_dir, svg):
     print("wrote %d file(s) to %s" % (len(files) + 1, out_dir))
     if meta["pole_flag"]:
         print("pole flagged; see %s" % meta_name)
+    if meta.get("aliasing_flag"):
+        print("aliasing flagged; see %s" % meta_name)
     return 0
 
 
@@ -421,12 +418,12 @@ def cmd_sweep(config_path, out_path):
     except ValueError as exc:
         raise ConfigError("bad sweep values: %s" % exc)
 
-    rows = []
-    for eps, b, p in itertools.product(eps_values, b_values, p_values):
-        locus = _conv.root_locus(PhysicalParams(D, b, eps, p))
-        t0 = locus.t0 if locus.t0 is not None else math.nan
-        rows.append("%s,%s,%d,%s,%s\r\n" % (_fmt17(eps), _fmt17(b), p,
-                                              _fmt17(t0), locus.regime))
+    tuples = list(itertools.product(eps_values, b_values, p_values))
+    eps, b, p = np.array(tuples, dtype=float).T
+    # root of h at s = 0, where C = 1 and beta = b
+    t0, regime = _conv.root_time(1.0, b, eps, p)
+    rows = ["%s,%s,%d,%s,%s\r\n" % (_fmt17(e), _fmt17(bb), pp, _fmt17(t), r)
+            for (e, bb, pp), t, r in zip(tuples, t0, regime.tolist())]
     _write_csv(out_path, "eps,b,p,t0,regime", "".join(rows))
     print("wrote %d row(s) to %s" % (len(rows), out_path))
     return 0

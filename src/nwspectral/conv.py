@@ -22,7 +22,7 @@ from .core import (DEFAULT_L, DEFAULT_N, BranchError, KernelSpec,
                    PhysicalParams, PoleError, SolverError, SpatialGrid,
                    SpectralField, SpectralGrid, make_grids)
 from .kernels import erfc_pair, gauss_codomain, heat_kernel
-from .spectral import TransformPlan, circular_convolve_many
+from .spectral import TransformPlan, _central_diff, circular_convolve_many
 
 REGIMES = ("no_root", "root_at", "asymptotic_infinity")
 KERNEL_MODES = ("product_K1", "convolution_K2")
@@ -87,38 +87,42 @@ def _h_power(h, p, policy="report"):
     return out if out.ndim else float(out)
 
 
-def _root_times(params, kernel, s):
-    """Per-frequency first root of h(s, .), nan where none exists."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    beta = np.atleast_1d(beta_of(s, params))
-    C = np.broadcast_to(np.asarray(kernel.C_at(s), dtype=float), beta.shape)
-    eps, p = params.eps, params.p
-    out = np.full(beta.shape, np.nan)
-    if eps == 0.0:
-        return out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (eps - C * beta) / eps
-        t0 = np.where(beta == 0.0, C / (eps * (p - 1.0)),
+def root_time(C, beta, eps, p):
+    """First root t0 >= 0 of h = C - eps (1 - e^(-(p-1) beta t))/beta,
+    elementwise over broadcast C, beta, eps, p.
+
+    Returns (t0, regime): t0 = log(eps/(eps - C beta))/((p-1) beta), or
+    C/(eps (p-1)) at beta = 0, and nan where h has no root; regime is
+    root_at, asymptotic_infinity (eps = C beta exactly: h decays to 0
+    without crossing it) or no_root. Scalar input gives (float, str).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = (eps - np.multiply(C, beta)) / eps
+        t0 = np.where(np.equal(beta, 0.0), np.divide(C, eps * (p - 1.0)),
                       -np.log(ratio) / ((p - 1.0) * beta))
-    good = np.isfinite(t0) & (t0 >= 0.0)
-    out[good] = t0[good]
-    return out
+    root = np.isfinite(t0) & (t0 >= 0.0)
+    # codes index REGIMES: 0 no_root, 1 root_at, 2 asymptotic_infinity
+    regime = np.asarray(REGIMES)[np.where(root, 1, 2 * (ratio == 0.0))]
+    t0 = np.where(root, t0, np.nan)
+    return (float(t0), str(regime)) if t0.ndim == 0 else (t0, regime)
 
 
 def earliest_root(params, kernel, s):
-    """Smallest root time of h over the probed frequencies, or None."""
-    roots = _root_times(params, kernel, s)
-    if not np.any(np.isfinite(roots)):
-        return None
-    return float(np.nanmin(roots))
+    """(t0, regime) of the earliest root of h over the frequencies s; t0 is
+    None, and the regime that of the smallest |s|, when h has no root."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    t0, regime = root_time(kernel.C_at(s), beta_of(s, params), params.eps,
+                           params.p)
+    k = np.lexsort((np.abs(s), np.nan_to_num(t0, nan=np.inf)))[0]
+    return (None if np.isnan(t0[k]) else float(t0[k])), str(regime[k])
 
 
 @dataclass(frozen=True)
 class ConvSolution:
     """Bundle of coefficients, integration-constant profile, and grid.
 
-    Point accessors h_spec/F/u evaluate at arbitrary (s, t); the _field
-    accessors sample the grid frequencies and wrap a SpectralField.
+    Point accessors h_spec/F/u evaluate at arbitrary (s, t); u_field
+    samples the grid frequencies and wraps a SpectralField.
     h_spec(s, 0) = C(s) exactly, and with eps = 0 the solution collapses
     to g e^(-bt) with no quadrature involved.
     """
@@ -149,14 +153,6 @@ class ConvSolution:
     def u(self, s, t):
         return _u_values(self, np.asarray(s, dtype=float), t)
 
-    def h_field(self, t):
-        vals = self.h_spec(self.grid.frequencies, t)
-        return SpectralField(self.grid, float(t), vals)
-
-    def F_field(self, t):
-        vals = self.F(self.grid.frequencies, t)
-        return SpectralField(self.grid, float(t), vals)
-
     def u_field(self, t):
         vals = self.u(self.grid.frequencies, t)
         return SpectralField(self.grid, float(t), vals)
@@ -166,7 +162,7 @@ def _u_values(solution, s, t, policy=None):
     params, kernel = solution.params, solution.kernel
     policy = kernel.pole_policy if policy is None else policy
     if policy == "error":
-        t0 = earliest_root(params, kernel, s)
+        t0 = earliest_root(params, kernel, s)[0]
         if t0 is not None and t >= t0:
             raise PoleError("t = %g is at or past the earliest pole t0 = %g"
                             % (t, t0))
@@ -175,15 +171,8 @@ def _u_values(solution, s, t, policy=None):
     return gauss_codomain(s, t, params.D) * np.exp(-params.b * t) * hp
 
 
-def solve_codomain(t, solution):
-    """Field of u(s,t) = g e^(-bt) h^(-1/(p-1)) on the solution grid."""
-    if not t >= 0:
-        raise ValueError("t must be >= 0")
-    return solution.u_field(t)
-
-
 def solve_physical(t, solution, plan=None):
-    """Spatial samples of u(., t), the inverse transform of solve_codomain.
+    """Spatial samples of u(., t), the inverse transform of u_field.
 
     Requires t > 0 (the t = 0 state is distributional for C = 1) and a grid
     fine enough that the codomain Gaussian is negligible at Nyquist.
@@ -209,11 +198,20 @@ BernoulliTerms = namedtuple("BernoulliTerms", ["derivative", "linear",
                                                "nonlinear"])
 
 
-def _guard_root_distance(solution, s, t, dt):
-    roots = _root_times(solution.params, solution.kernel, s)
-    near = np.isfinite(roots) & (np.abs(roots - t) <= 10.0 * dt)
-    if np.any(near):
+def _time_derivative(solution, fn, s, t, dt):
+    """d/dt fn(s, t) by the 5-point central stencil with step dt <= 1e-3 t
+    (default 1e-3 t), refused within 10 dt of a root of h."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    dt = 1e-3 * t if dt is None else dt
+    if not 0.0 < dt <= 1e-3 * t:
+        raise ValueError("dt must satisfy 0 < dt <= 1e-3 t")
+    params = solution.params
+    roots = root_time(solution.kernel.C_at(s), beta_of(s, params),
+                      params.eps, params.p)[0]
+    if np.any(np.abs(roots - t) <= 10.0 * dt):
         raise ValueError("t is within 10 dt of a root of h")
+    return _central_diff(lambda k: fn(s, t + k * dt), dt)
 
 
 def bernoulli_terms(solution, s, t, dt=None):
@@ -221,17 +219,9 @@ def bernoulli_terms(solution, s, t, dt=None):
 
     F' uses the 5-point central stencil with step dt <= 1e-3 t.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    dt = 1e-3 * t if dt is None else dt
-    if not 0.0 < dt <= 1e-3 * t:
-        raise ValueError("dt must satisfy 0 < dt <= 1e-3 t")
     s = np.asarray(s, dtype=float)
-    _guard_root_distance(solution, s, t, dt)
+    Fprime = _time_derivative(solution, solution.F, s, t, dt)
     params = solution.params
-    stencil = [solution.F(s, t + k * dt) for k in (-2, -1, 1, 2)]
-    Fprime = (stencil[0] - 8.0 * stencil[1]
-              + 8.0 * stencil[2] - stencil[3]) / (12.0 * dt)
     F0 = solution.F(s, t)
     g = gauss_codomain(s, t, params.D)
     return BernoulliTerms(Fprime * g, params.b * F0 * g,
@@ -252,17 +242,9 @@ def codomain_ode_residual(solution, s, t, dt=None):
     single correctness property of the solver. Scaled by the largest of
     the three terms.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    dt = 1e-3 * t if dt is None else dt
-    if not 0.0 < dt <= 1e-3 * t:
-        raise ValueError("dt must satisfy 0 < dt <= 1e-3 t")
     s = np.asarray(s, dtype=float)
-    _guard_root_distance(solution, s, t, dt)
+    uprime = _time_derivative(solution, solution.u, s, t, dt)
     params = solution.params
-    stencil = [solution.u(s, t + k * dt) for k in (-2, -1, 1, 2)]
-    uprime = (stencil[0] - 8.0 * stencil[1]
-              + 8.0 * stencil[2] - stencil[3]) / (12.0 * dt)
     u0 = solution.u(s, t)
     lin = beta_of(s, params) * u0
     nonlin = params.eps * u0 ** params.p
@@ -291,22 +273,6 @@ class RootReport:
     difference: object
     params: PhysicalParams
     t_max: float
-
-
-def _root_time_scalar(C, beta, eps, p):
-    if eps == 0.0:
-        return None, "no_root"
-    if beta == 0.0:
-        t0 = C / (eps * (p - 1.0))
-        return (float(t0), "root_at") if t0 >= 0.0 else (None, "no_root")
-    ratio = (eps - C * beta) / eps
-    if ratio == 0.0:
-        return None, "asymptotic_infinity"
-    if ratio > 0.0:
-        t0 = -math.log(ratio) / ((p - 1.0) * beta)
-        if t0 >= 0.0:
-            return float(t0), "root_at"
-    return None, "no_root"
 
 
 def _bisect_h_root(params, kernel, s, t_max, n_scan=4096, iters=200):
@@ -351,15 +317,15 @@ def root_locus(params, kernel=None, s=0.0, t_max=None):
         raise ValueError("root locus requires b != 0")
     C = float(np.asarray(kernel.C_at(float(s)), dtype=float))
     beta = beta_of(float(s), params)
-    t0_formula, regime = _root_time_scalar(C, beta, params.eps, params.p)
+    t0_formula, regime = root_time(C, beta, params.eps, params.p)
+    t0_formula = None if math.isnan(t0_formula) else t0_formula
     if t_max is None:
         t_max = 50.0 if t0_formula is None else max(50.0, 4.0 * t0_formula)
     t0_bis = _bisect_h_root(params, kernel, float(s), t_max)
     diff = None
     if t0_formula is not None and t0_bis is not None:
         diff = abs(t0_formula - t0_bis)
-    return RootReport(t0=t0_formula if regime == "root_at" else None,
-                      regime=regime, s=float(s), C=C,
+    return RootReport(t0=t0_formula, regime=regime, s=float(s), C=C,
                       t0_formula=t0_formula, t0_bisection=t0_bis,
                       difference=diff, params=params, t_max=float(t_max))
 

@@ -29,30 +29,16 @@ class PoleError(SolverError):
     """Evaluation at or beyond a finite-time pole under pole_policy='error'."""
 
 
-def _is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def validate_params(D, b, eps, p):
-    """Validate the coefficient set and return PhysicalParams.
-
-    Raises ValueError listing every violated constraint, not just the first.
-    """
-    problems = []
-    for name, value in (("D", D), ("b", b), ("eps", eps)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            problems.append("%s must be a finite real" % name)
-    if isinstance(D, (int, float)) and math.isfinite(D) and D <= 0:
-        problems.append("D must be positive")
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        problems.append("p must be an integer")
-    elif isinstance(p, float) and not p.is_integer():
-        problems.append("p must be an integer")
-    elif p < 2:
-        problems.append("p must be >= 2")
-    if problems:
-        raise ValueError("; ".join(problems))
-    return PhysicalParams(float(D), float(b), float(eps), int(p))
+def _check_grid(n_points, length):
+    """Shared validation of the (n, L) pair behind both dual grids."""
+    if not isinstance(n_points, int) or n_points < 1 \
+            or n_points & (n_points - 1):
+        raise ValueError("n_points must be a power of two")
+    if n_points < 16:
+        raise ValueError("n_points must be >= 16")
+    if not (isinstance(length, (int, float)) and math.isfinite(length)
+            and length > 0):
+        raise ValueError("length must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -70,7 +56,7 @@ class PhysicalParams:
     p: int
 
     def __post_init__(self):
-        # Route every construction through the collecting validator.
+        # Report every violated constraint, not just the first.
         if not (isinstance(self.p, int) and not isinstance(self.p, bool)):
             raise ValueError("p must be an integer")
         problems = []
@@ -97,13 +83,7 @@ class SpatialGrid:
     length: float
 
     def __post_init__(self):
-        if not isinstance(self.n_points, int) or not _is_power_of_two(self.n_points):
-            raise ValueError("n_points must be a power of two")
-        if self.n_points < 16:
-            raise ValueError("n_points must be >= 16")
-        if not (isinstance(self.length, (int, float)) and math.isfinite(self.length)
-                and self.length > 0):
-            raise ValueError("length must be positive and finite")
+        _check_grid(self.n_points, self.length)
 
     @property
     def dx(self):
@@ -126,13 +106,7 @@ class SpectralGrid:
     length: float
 
     def __post_init__(self):
-        if not isinstance(self.n_points, int) or not _is_power_of_two(self.n_points):
-            raise ValueError("n_points must be a power of two")
-        if self.n_points < 16:
-            raise ValueError("n_points must be >= 16")
-        if not (isinstance(self.length, (int, float)) and math.isfinite(self.length)
-                and self.length > 0):
-            raise ValueError("length must be positive and finite")
+        _check_grid(self.n_points, self.length)
 
     @property
     def ds(self):
@@ -153,14 +127,6 @@ class SpectralGrid:
     def band_limit_ok(self, D, t_min, floor=BAND_LIMIT_FLOOR):
         """Anti-aliasing guard: the codomain Gaussian must be negligible at Nyquist."""
         return self.band_limit_margin(D, t_min) <= floor
-
-    # Index maps between centered layout (s ascending, s = 0 at n/2) and the
-    # wrapped layout used by the raw DFT. The two are mutually inverse.
-    def to_wrapped_order(self, values):
-        return np.fft.ifftshift(values)
-
-    def from_wrapped_order(self, values):
-        return np.fft.fftshift(values)
 
 
 def make_grids(n_points, length):
@@ -210,7 +176,6 @@ class SpectralField:
         return self.hermitian_defect() <= rel_tol
 
 
-FACTOR_COUNT_CONVENTIONS = ("operators", "factors")
 POLE_POLICIES = ("error", "clamp", "report")
 
 
@@ -219,20 +184,14 @@ class KernelSpec:
     """Integration-constant profile C(s) plus solver options.
 
     C may be a finite constant or a callable over s; the default is the
-    constant 1. factor_count_convention resolves how many copies an i-fold
-    self-convolution involves; pole_policy governs evaluation near a root
-    of h.
+    constant 1. pole_policy governs evaluation near a root of h.
     """
 
     C: object = 1.0
-    factor_count_convention: str = "factors"
     quad_rel_tol: float = 1e-10
     pole_policy: str = "report"
 
     def __post_init__(self):
-        if self.factor_count_convention not in FACTOR_COUNT_CONVENTIONS:
-            raise ValueError("factor_count_convention must be one of %s"
-                             % (FACTOR_COUNT_CONVENTIONS,))
         if self.pole_policy not in POLE_POLICIES:
             raise ValueError("pole_policy must be one of %s" % (POLE_POLICIES,))
         if not (isinstance(self.quad_rel_tol, float) and 0 < self.quad_rel_tol < 1):

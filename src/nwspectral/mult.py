@@ -85,15 +85,6 @@ class MultSolverPlan:
         return self.singularity_exponent > -1.0
 
     @property
-    def substitution_power(self):
-        """Exponent a of tau = sigma^a chosen so the transformed integrand
-        is bounded at the origin, or None when no power can rescue a
-        non-integrable endpoint."""
-        if not self.endpoint_integrable:
-            return None
-        return 1.0 / (1.0 + self.singularity_exponent)
-
-    @property
     def rooted(self):
         return RootedKernelParams(self.params, self.n)
 
@@ -116,6 +107,25 @@ def _growth_rate(s, plan):
             + (1.0 - params.p * params.p) * params.b)
 
 
+def _endpoint_rule(expo, t, t_min):
+    """(lower, upper, alpha) for integrating over (0, t] an integrand that
+    behaves as tau^expo at the origin.
+
+    expo <= -1 is not integrable: cut off at t_min, alpha None. A singular
+    but integrable endpoint (-1 < expo < 0) takes tau = sigma^alpha with
+    alpha = 1/(1 + expo), which bounds the transformed integrand, over
+    [0, t^(1/alpha)]. expo >= 0 integrates plainly from 0, alpha None.
+    """
+    if expo <= -1.0:
+        if not t > t_min:
+            raise ValueError("t must exceed the t_min cutoff")
+        return t_min, float(t), None
+    if expo < 0.0:
+        alpha = 1.0 / (1.0 + expo)
+        return 0.0, t ** (1.0 / alpha), alpha
+    return 0.0, float(t), None
+
+
 def _mult_integral(s, t, plan):
     """(integral values, flagged mask) of int e^(a tau) tau^(-q) d tau.
 
@@ -133,24 +143,19 @@ def _mult_integral(s, t, plan):
     ab = a[band]
     q = -plan.singularity_exponent
     tol = plan.kernel.quad_rel_tol
-    if plan.endpoint_integrable:
-        alpha = plan.substitution_power
+    lower, upper, alpha = _endpoint_rule(plan.singularity_exponent, t,
+                                         plan.t_min)
+    if alpha is None:
+        def fn(tau):
+            return tau ** (-q) * np.exp(ab * tau)
+    else:
         power = alpha * (1.0 - q) - 1.0  # >= 0 by the choice of alpha
 
         def fn(sigma):
             return alpha * sigma ** power * np.exp(ab * sigma ** alpha)
 
-        val, err = quad_vec(fn, 0.0, t ** (1.0 / alpha),
-                            epsabs=1e-14, epsrel=tol, norm="max")
-    else:
-        if not t > plan.t_min:
-            raise ValueError("t must exceed the t_min cutoff for p >= 3")
-
-        def fn(tau):
-            return tau ** (-q) * np.exp(ab * tau)
-
-        val, err = quad_vec(fn, plan.t_min, float(t),
-                            epsabs=1e-14, epsrel=tol, norm="max")
+    val, err = quad_vec(fn, lower, upper, epsabs=1e-14, epsrel=tol,
+                        norm="max")
     _check_quadrature(err, val, tol)
     out[band] = val
     return out, flagged
@@ -208,20 +213,16 @@ def h_mult_certificate(s, t, plan):
     if a * t > _EXP_LIMIT:
         raise SolverError("frequency is overflow-flagged; no finite h value")
     q = -plan.singularity_exponent
-    if plan.endpoint_integrable:
-        alpha = plan.substitution_power
+    lower, upper, alpha = _endpoint_rule(plan.singularity_exponent, t,
+                                         plan.t_min)
+    if alpha is None:
+        def fn(tau):
+            return tau ** (-q) * math.exp(a * tau)
+    else:
         power = alpha * (1.0 - q) - 1.0
-        lower, upper = 0.0, t ** (1.0 / alpha)
 
         def fn(sigma):
             return alpha * sigma ** power * math.exp(a * sigma ** alpha)
-    else:
-        if not t > plan.t_min:
-            raise ValueError("t must exceed the t_min cutoff for p >= 3")
-        lower, upper = plan.t_min, float(t)
-
-        def fn(tau):
-            return tau ** (-q) * math.exp(a * tau)
 
     coef = _mult_coefficient(plan)
     scale = abs(pref * coef)
@@ -287,37 +288,20 @@ def h_mult_corollary(s, t, plan, source="paper_formula", grid=None):
     expo = 0.5 - (params.p - 1.0) if source == "paper_formula" \
         else -(params.p - 2.0) / 2.0
     tol = plan.kernel.quad_rel_tol
-    if expo <= -1.0:
-        lower = plan.t_min
-        if not t > lower:
-            raise ValueError("t must exceed the t_min cutoff")
-
+    lower, upper, alpha = _endpoint_rule(expo, t, plan.t_min)
+    if alpha is None:
         def fn(tau):
             return (_corollary_integrand(s_arr, tau, plan, source, grid)
                     * math.exp(-params.b * tau))
-
-        val, err = quad_vec(fn, lower, float(t),
-                            epsabs=1e-14, epsrel=tol, norm="max")
-    elif expo < 0.0:
-        beta = 1.0 / (1.0 + expo)  # bounds the transformed integrand
-
+    else:
         def fn(sigma):
-            tau = sigma ** beta
-            return (beta * sigma ** (beta - 1.0)
+            tau = sigma ** alpha
+            return (alpha * sigma ** (alpha - 1.0)
                     * _corollary_integrand(s_arr, tau, plan, source, grid)
                     * math.exp(-params.b * tau))
 
-        val, err = quad_vec(fn, 0.0, t ** (1.0 / beta),
-                            epsabs=1e-14, epsrel=tol, norm="max")
-        lower = 0.0
-    else:
-        def fn(tau):
-            return (_corollary_integrand(s_arr, tau, plan, source, grid)
-                    * math.exp(-params.b * tau))
-
-        val, err = quad_vec(fn, 0.0, float(t),
-                            epsabs=1e-14, epsrel=tol, norm="max")
-        lower = 0.0
+    val, err = quad_vec(fn, lower, upper, epsabs=1e-14, epsrel=tol,
+                        norm="max")
     _check_quadrature(err, val, tol)
     out = params.eps * (1.0 - params.p) * math.exp(params.b * t) * val
     return float(out[0]) if scalar else out

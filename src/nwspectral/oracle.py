@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from .core import KernelSpec, PhysicalParams, SolverError, SpectralField
 from .conv import ConvSolution, solve_forced
 from .mult import MultSolverPlan, mult_codomain
-from .spectral import TransformPlan
+from .spectral import TransformPlan, _centred_fft, _centred_ifft
 
 NONLINEARITIES = ("convolution_p", "multiplicative_p", "forced_convolution")
 
@@ -147,18 +147,17 @@ def resolve_initial(run):
 
 
 def _dealiased_power(values, p, plan):
-    # 3/2-rule zero padding: evaluate the pointwise power on a finer
-    # physical grid so the retained band carries no aliased quadratic terms
+    # (p+1)/2-rule zero padding (Orszag 1971): evaluate the pointwise power
+    # on a grid of (p+1) n/2 points, fine enough that no p-fold sum of
+    # retained frequencies aliases back into the retained band
     n = plan.n
-    fine = 3 * n // 2
-    pad = (fine - n) // 2
-    spec = np.concatenate([np.zeros(pad, dtype=complex),
-                           np.asarray(values, dtype=complex),
-                           np.zeros(fine - n - pad, dtype=complex)])
+    fine = (p + 1) * n // 2
+    pad = (fine - n) // 2  # fine - n = (p-1) n/2 is even: n is 2^k >= 16
+    spec = np.pad(np.asarray(values, dtype=complex), pad)
     dx_fine = 2.0 * plan.spatial.length / fine
-    u_fine = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(spec))) / dx_fine
+    u_fine = _centred_ifft(spec) / dx_fine
     w_fine = u_fine ** p
-    w_spec = dx_fine * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(w_fine)))
+    w_spec = dx_fine * _centred_fft(w_fine)
     return w_spec[pad:pad + n]
 
 

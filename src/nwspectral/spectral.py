@@ -18,6 +18,16 @@ from .core import SpatialGrid, SpectralGrid, SpectralField, make_grids
 IMAG_RESIDUE_TOL = 1e-10
 
 
+def _centred_fft(values):
+    """DFT of samples stored in centred order (origin at index n/2), with
+    the result in centred order too; _centred_ifft is its inverse."""
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
+
+
+def _centred_ifft(values):
+    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values)))
+
+
 @dataclass(frozen=True)
 class TransformPlan:
     """Paired grids plus the fixed normalization of the transform.
@@ -51,7 +61,7 @@ class TransformPlan:
         f = np.asarray(f)
         if f.shape != (self.n,):
             raise ValueError("sample count must match grid")
-        spec = self.dx * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f)))
+        spec = self.dx * _centred_fft(f)
         return SpectralField(self.spectral, time, spec)
 
     def inverse(self, field):
@@ -65,20 +75,13 @@ class TransformPlan:
             raise ValueError("sample count must match grid")
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        f = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values))) / self.dx
+        f = _centred_ifft(values) / self.dx
         scale = float(np.abs(f).max())
         residue = float(np.abs(f.imag).max())
         if scale > 0 and residue > IMAG_RESIDUE_TOL * scale:
             warnings.warn("imaginary residue %.3e exceeds %.0e of field scale; "
                           "discarding it" % (residue / scale, IMAG_RESIDUE_TOL))
         return f.real
-
-    def inverse_complex(self, field):
-        """Inverse transform keeping the complex values (no residue policy)."""
-        values = field.values if isinstance(field, SpectralField) else np.asarray(field)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values))) / self.dx
 
 
 def default_plan(n_points=None, length=None):
@@ -153,18 +156,23 @@ def parseval_defect(plan, f):
     return abs(lhs - rhs) / scale
 
 
+def _central_diff(sample, h):
+    """5-point central difference (f(-2h) - 8 f(-h) + 8 f(h) - f(2h))/(12h),
+    where sample(k) returns f at the offset k h for k in -2, -1, 1, 2."""
+    return (sample(-2) - 8.0 * sample(-1) + 8.0 * sample(1)
+            - sample(2)) / (12.0 * h)
+
+
 def _central_diff_time(series, dt):
     """5-point central time derivative of an (nt, nx) family at interior
     indices 2 .. nt-3."""
-    a = series
-    return (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * dt)
+    nt = len(series)
+    return _central_diff(lambda k: series[2 + k:nt - 2 + k], dt)
 
 
 def _central_diff_x(samples, dx):
     """5-point central x derivative with periodic wrap, along the last axis."""
-    a = samples
-    return (np.roll(a, 2, axis=-1) - 8.0 * np.roll(a, 1, axis=-1)
-            + 8.0 * np.roll(a, -1, axis=-1) - np.roll(a, -2, axis=-1)) / (12.0 * dx)
+    return _central_diff(lambda k: np.roll(samples, -k, axis=-1), dx)
 
 
 DerivativeResiduals = namedtuple(

@@ -10,6 +10,8 @@ import pytest
 
 from nwspectral.cli import (ConfigError, RunConfig, _field_rows, _fmt17,
                             load_json, main)
+from nwspectral.conv import root_locus
+from nwspectral.core import BAND_LIMIT_FLOOR, PhysicalParams, SpectralGrid
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -61,6 +63,14 @@ class TestConfigParsing:
         cfg = _base_config(kernel={"C": 1.0, "width": 2.0})
         with pytest.raises(ConfigError, match="width"):
             RunConfig.from_dict(cfg)
+
+    def test_factor_count_convention_is_an_unknown_key(self, tmp_path,
+                                                       capsys):
+        cfg = _base_config(kernel={"factor_count_convention": "factors"})
+        path = _write(tmp_path, "c.json", cfg)
+        assert main(["solve", "--config", path, "--out-dir",
+                     str(tmp_path / "out")]) == 1
+        assert "factor_count_convention" in capsys.readouterr().err
 
     def test_missing_required_key_is_named(self):
         cfg = _base_config()
@@ -236,6 +246,7 @@ class TestSolveOutputs:
         assert all(v < 1e-6 for v in residuals.values())
 
     def test_pole_rows_are_literal_nan(self, tmp_path, capsys):
+        # every time at or past the earliest root of h is a nan column
         t0 = math.log(2.0)
         cfg = _base_config(times=[0.5, t0, 0.9])
         cfg["params"]["eps"] = 2.0
@@ -244,14 +255,72 @@ class TestSolveOutputs:
         rc = main(["solve", "--config", path, "--out-dir", str(out)])
         assert rc == 0
         assert "pole" in capsys.readouterr().out
-        rows = list(csv.reader((out / "run_t001.csv").open(newline="")))
-        assert rows[0] == ["x", "u"]
-        assert all(r[1] == "nan" for r in rows[1:])
+        for k in (1, 2):
+            rows = list(csv.reader((out / ("run_t%03d.csv" % k))
+                                   .open(newline="")))
+            assert rows[0] == ["x", "u"]
+            assert all(r[1] == "nan" for r in rows[1:])
+        rows = list(csv.reader((out / "run_t000.csv").open(newline="")))
+        assert all(math.isfinite(float(r[1])) for r in rows[1:])
         meta = json.loads((out / "run_meta.json").read_text("utf-8"))
         assert meta["pole_flag"] is True
-        assert meta["pole_times"] == [pytest.approx(t0)]
-        assert meta["root_locus"]["regime"] == "root_at"
-        assert meta["root_locus"]["t0"] == pytest.approx(t0, abs=1e-12)
+        assert meta["pole_times"] == [pytest.approx(t0), 0.9]
+        assert meta["root_locus"] == {"regime": "root_at",
+                                      "t0": pytest.approx(t0, abs=1e-12)}
+
+    @pytest.mark.parametrize("b, eps, times, t0", [
+        (1.0, 2.0, [1.0], math.log(2.0)),    # one time, past the root
+        (0.0, 0.5, [1.0, 3.0, 5.0], 2.0),    # b = 0: t0 = C/(eps (p-1))
+    ])
+    def test_times_past_the_root_are_flagged(self, tmp_path, capsys, b,
+                                             eps, times, t0):
+        cfg = _base_config(times=times)
+        cfg["params"].update(b=b, eps=eps)
+        path = _write(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out-dir", str(out)]) == 0
+        assert "pole flagged" in capsys.readouterr().out
+        meta = json.loads((out / "run_meta.json").read_text("utf-8"))
+        past = [t for t in times if t >= t0]
+        assert meta["pole_flag"] is True
+        assert meta["pole_times"] == past
+        assert meta["root_locus"]["t0"] == pytest.approx(t0, rel=1e-15)
+        for k, t in enumerate(times):
+            rows = list(csv.reader((out / ("run_t%03d.csv" % k))
+                                   .open(newline="")))[1:]
+            assert all((r[1] == "nan") == (t in past) for r in rows)
+
+    @pytest.mark.parametrize("p, eps, kernel", [
+        (2, 2.0, {"pole_policy": "error"}),   # PoleError
+        (3, 4.0, {}),                         # h < 0 under an even root
+    ])
+    def test_past_the_root_errors_are_two(self, tmp_path, capsys, p, eps,
+                                          kernel):
+        cfg = _base_config(times=[1.0], kernel=kernel)
+        cfg["params"].update(p=p, eps=eps)
+        path = _write(tmp_path, "c.json", cfg)
+        assert main(["solve", "--config", path, "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert "solver error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, t, flagged", [
+        (64, 0.001, True),     # margin 0.975
+        (64, 0.25, True),      # the golden fixture's grid: margin 1.8e-3
+        (65536, 0.25, False),
+    ])
+    def test_band_limit_margin_is_recorded(self, tmp_path, capsys, n, t,
+                                           flagged):
+        cfg = _base_config(times=[t], grid={"n": n, "length": 20.0})
+        path = _write(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out-dir", str(out)]) == 0
+        assert ("aliasing flagged" in capsys.readouterr().out) is flagged
+        meta = json.loads((out / "run_meta.json").read_text("utf-8"))
+        margin = meta["band_limit_margin"][_fmt17(t)]
+        assert margin == SpectralGrid(n, 20.0).band_limit_margin(1.0, t)
+        assert (margin > BAND_LIMIT_FLOOR) is flagged
+        assert meta["aliasing_flag"] is flagged
+        assert meta["pole_flag"] is False
 
     def test_svg_is_emitted_and_well_formed(self, tmp_path, capsys):
         path = _write(tmp_path, "c.json", _base_config())
@@ -350,6 +419,28 @@ class TestSweepCommand:
             "b": [0.5, 1.0], "p": [2, 3]})
         capsys.readouterr()
         assert len(rows) == 12
+
+    def test_rows_match_root_locus(self, tmp_path, capsys):
+        # one vectorised root_time call against per-row root_locus
+        cfg = {"eps": [-1.0, 0.0, 0.3, 1.0, 1.7, 2.5, 9.0],
+               "b": [-0.7, 0.3, 1.0, 2.0], "p": [2, 3, 5]}
+        path = _write(tmp_path, "s.json", cfg)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = list(csv.reader(out.open(newline="")))[1:]
+        assert len(rows) == 7 * 4 * 3
+        regimes = set()
+        for eps, b, p, t0, regime in rows:
+            rep = root_locus(PhysicalParams(1.0, float(b), float(eps),
+                                            int(p)))
+            assert regime == rep.regime
+            regimes.add(regime)
+            if rep.t0 is None:
+                assert t0 == "nan"
+            else:
+                assert abs(float(t0) - rep.t0) <= np.spacing(rep.t0)
+        assert regimes == {"root_at", "no_root", "asymptotic_infinity"}
 
     def test_fractional_p_is_rejected(self, tmp_path, capsys):
         path = _write(tmp_path, "s.json", {"eps": [1.0], "b": [1.0],

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nwspectral.conv import (ConvSolution, beta_of, bernoulli_residual,
+from nwspectral.conv import (REGIMES, ConvSolution, beta_of, bernoulli_residual,
                              bernoulli_terms, codomain_ode_residual,
                              fisher_codomain_expansion, fisher_erfc_approx,
                              fisher_erfc_transform_consistent, h_specific,
-                             large_p_limit, root_locus, solve_forced,
+                             large_p_limit, root_locus, root_time,
+                             solve_forced,
                              solve_physical, solve_with_kernels)
 from nwspectral.core import (BranchError, KernelSpec, PhysicalParams,
                              PoleError, make_grids)
@@ -164,6 +165,58 @@ class TestRootLocus:
         rep = root_locus(PhysicalParams(1.0, 1.0, eps, 2))
         assert rep.regime == "root_at"
         assert rep.difference < 1e-8
+
+
+class TestRootTime:
+    @pytest.mark.parametrize("C, beta, eps, p, t0, regime", [
+        (1.0, 1.0, -0.5, 2, None, "no_root"),              # eps < 0
+        (1.0, 2.0, 1.0, 3, None, "no_root"),               # 0 < eps < C beta
+        (1.0, 1.0, 1.0, 2, None, "asymptotic_infinity"),   # eps = C beta
+        (1.0, 1.0, 2.0, 2, math.log(2.0), "root_at"),      # eps > C beta
+        (2.0, 1.5, 4.0, 3, math.log(4.0) / 3.0, "root_at"),
+        (1.0, -1.0, 1.0, 2, math.log(2.0), "root_at"),     # h = 2 - e^t
+        (1.0, 0.0, 0.5, 2, 2.0, "root_at"),                # beta = 0
+        (1.0, 0.0, 0.5, 4, 2.0 / 3.0, "root_at"),
+        (1.0, 0.0, -0.5, 2, None, "no_root"),
+        (1.0, 1.0, 0.0, 2, None, "no_root"),               # eps = 0
+        (1.0, 0.0, 0.0, 2, None, "no_root"),
+    ])
+    def test_scalar_regimes(self, C, beta, eps, p, t0, regime):
+        got_t0, got_regime = root_time(C, beta, eps, p)
+        assert type(got_t0) is float and type(got_regime) is str
+        assert got_regime == regime
+        if t0 is None:
+            assert math.isnan(got_t0)
+        else:
+            assert got_t0 == pytest.approx(t0, rel=1e-15)
+
+    def test_no_warnings_at_the_degenerate_points(self):
+        with np.errstate(all="raise"):
+            root_time(np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                      np.array([0.0, 1.0, 0.0]), 2)
+
+    def test_broadcasts_like_its_scalar_form(self):
+        beta = np.array([0.0, 0.5, 1.0, 2.0])
+        eps = np.array([[-1.0], [0.0], [0.5], [1.0], [3.0]])
+        p = np.array([2, 3, 2, 5, 3])[:, None]
+        t0, regime = root_time(1.0, beta, eps, p)
+        assert t0.shape == regime.shape == (5, 4)
+        for i, j in np.ndindex(5, 4):
+            want = root_time(1.0, float(beta[j]), float(eps[i, 0]),
+                             int(p[i, 0]))
+            assert regime[i, j] == want[1]
+            assert t0[i, j] == want[0] or np.isnan(t0[i, j]) \
+                and math.isnan(want[0])
+        assert set(regime.ravel()) == set(REGIMES)
+
+    @pytest.mark.parametrize("b, eps, p", [
+        (1.0, 2.0, 2), (0.5, 0.6, 3), (2.0, 9.0, 4), (-0.5, 0.25, 2),
+        (1.0, 1.01, 2)])
+    def test_agrees_with_bisection(self, b, eps, p):
+        rep = root_locus(PhysicalParams(1.0, b, eps, p))
+        t0, regime = root_time(1.0, b, eps, p)
+        assert regime == rep.regime == "root_at"
+        assert abs(t0 - rep.t0_bisection) < 1e-8
 
 
 class TestPolicies:

@@ -114,10 +114,6 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(pole_policy="ignore")
 
-    def test_rejects_bad_convention(self):
-        with pytest.raises(ValueError):
-            KernelSpec(factor_count_convention="copies")
-
     def test_rejects_non_finite_constant(self):
         with pytest.raises(ValueError):
             KernelSpec(C=math.inf)
@@ -126,3 +122,18 @@ class TestKernelSpec:
         spec = KernelSpec(C=lambda s: np.where(s == 0.0, np.inf, 1.0))
         with pytest.raises(ValueError):
             spec.C_at(np.array([0.0, 1.0]))
+
+
+class TestExports:
+    def test_every_exported_name_resolves_once(self):
+        import nwspectral
+        names = nwspectral.__all__
+        assert len(names) == len(set(names))
+        missing = [name for name in names if not hasattr(nwspectral, name)]
+        assert missing == []
+
+    def test_star_import(self):
+        import nwspectral
+        namespace = {}
+        exec("from nwspectral import *", namespace)
+        assert set(nwspectral.__all__) <= set(namespace)

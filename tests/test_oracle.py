@@ -6,9 +6,9 @@ import pytest
 from nwspectral.conv import ConvSolution
 from nwspectral.core import PhysicalParams, SolverError, make_grids
 from nwspectral.kernels import gauss_codomain
-from nwspectral.oracle import (BlowUpError, OracleRun, final_field,
-                               resolve_initial, scalar_ode_oracle,
-                               stability_bound, step_etd)
+from nwspectral.oracle import (BlowUpError, OracleRun, _dealiased_power,
+                               final_field, resolve_initial,
+                               scalar_ode_oracle, stability_bound, step_etd)
 from nwspectral.spectral import TransformPlan, default_plan
 
 P_REF = PhysicalParams(1.0, 1.0, 0.1, 2)
@@ -168,3 +168,22 @@ class TestScalarOracle:
     def test_requires_positive_horizon(self):
         with pytest.raises(ValueError):
             scalar_ode_oracle(0.0, P_REF, 1.0, 0.0)
+
+
+class TestDealiasedPower:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_matches_the_truncated_spectral_convolution(self, p):
+        # on a full-band field every p-fold sum of retained frequencies
+        # must land outside the band or exactly on its own frequency
+        n = 64
+        plan = default_plan(n, 20.0)
+        rng = np.random.default_rng(p)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        full = v
+        for _ in range(p - 1):
+            full = np.convolve(full, v)
+        # index j of the linear p-fold convolution is frequency j - p n/2
+        start = (p - 1) * n // 2
+        want = plan.ds ** (p - 1) * full[start:start + n]
+        got = _dealiased_power(v, p, plan)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
