@@ -16,12 +16,9 @@ import numpy as np
 
 from . import __version__
 from . import conv as _conv
-from . import mult as _mult
-from . import report as _report
-from .core import (BAND_LIMIT_FLOOR, KernelSpec, PhysicalParams, SolverError,
-                   make_grids)
+from .core import (BAND_LIMIT_FLOOR, SUITES, KernelSpec, PhysicalParams,
+                   SolverError, make_grids)
 from .spectral import TransformPlan
-from .svgplot import line_plot
 
 
 class ConfigError(Exception):
@@ -283,6 +280,7 @@ def _solve_fields(config, plan):
                                     for m in margins.values())
 
     elif config.equation == "mult":
+        from . import mult as _mult
         extra = {} if config.t_min is None else {"t_min": config.t_min}
         mplan = _mult.MultSolverPlan(params, kernel=config.kernel, **extra)
         overflow = {}
@@ -312,6 +310,7 @@ def _solve_fields(config, plan):
 
     else:  # fisher_genetic
         import warnings
+        from . import mult as _mult
         grew = False
         for t in config.times:
             with warnings.catch_warnings(record=True) as caught:
@@ -342,6 +341,7 @@ def cmd_solve(config_path, out_dir, svg):
         _write_csv(os.path.join(out_dir, name), "x,u", _field_rows(x, u))
         files[name] = {"time": t}
         if svg:
+            from .svgplot import line_plot
             sname = "%s_t%03d.svg" % (config.basename, k)
             doc = line_plot(x, [u], labels=["t = %g" % t],
                             title="%s solution" % config.equation,
@@ -369,6 +369,7 @@ def cmd_solve(config_path, out_dir, svg):
 
 
 def cmd_verify(suite, report_path):
+    from . import report as _report
     rep = _report.run_suite(suite)
     _write_json(report_path, rep.to_dict())
     for line in rep.summary_lines():
@@ -409,9 +410,6 @@ def cmd_sweep(config_path, out_path):
     p_values = _sweep_values(_require(data, "p", "sweep config"), "p",
                              integer=True)
     D = _as_float(data.get("D", 1.0), "D")
-    if any(b == 0.0 for b in b_values):
-        raise ConfigError('"b" values must be nonzero (the root locus '
-                          'needs b != 0)')
     try:
         for p in p_values:
             PhysicalParams(D, b_values[0], eps_values[0], p)
@@ -452,7 +450,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True,
-                          choices=list(_report.SUITES))
+                          choices=list(SUITES))
     p_verify.add_argument("--report", required=True, metavar="<path>")
 
     p_sweep = sub.add_parser("sweep", help="tabulate the root locus over "

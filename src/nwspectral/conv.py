@@ -16,7 +16,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .core import (DEFAULT_L, DEFAULT_N, BranchError, KernelSpec,
                    PhysicalParams, PoleError, SolverError, SpatialGrid,
@@ -268,7 +267,6 @@ class RootReport:
     regime: str
     s: float
     C: float
-    t0_formula: object
     t0_bisection: object
     difference: object
     params: PhysicalParams
@@ -308,26 +306,25 @@ def _bisect_h_root(params, kernel, s, t_max, n_scan=4096, iters=200):
 def root_locus(params, kernel=None, s=0.0, t_max=None):
     """Locate the first zero of h(s, .) by formula and verify by bisection.
 
-    The formula value is t0 = log(eps/(eps - C beta))/((p-1) beta); the
-    report classifies the regime as no_root, root_at, or
-    asymptotic_infinity (eps = C beta exactly).
+    The formula value is t0 = log(eps/(eps - C beta))/((p-1) beta), or
+    C/(eps (p-1)) at beta = 0 (b = 0, s = 0); the report classifies the
+    regime as no_root, root_at, or asymptotic_infinity (eps = C beta
+    exactly).
     """
     kernel = KernelSpec() if kernel is None else kernel
-    if params.b == 0.0:
-        raise ValueError("root locus requires b != 0")
     C = float(np.asarray(kernel.C_at(float(s)), dtype=float))
     beta = beta_of(float(s), params)
-    t0_formula, regime = root_time(C, beta, params.eps, params.p)
-    t0_formula = None if math.isnan(t0_formula) else t0_formula
+    t0, regime = root_time(C, beta, params.eps, params.p)
+    t0 = None if math.isnan(t0) else t0
     if t_max is None:
-        t_max = 50.0 if t0_formula is None else max(50.0, 4.0 * t0_formula)
+        t_max = 50.0 if t0 is None else max(50.0, 4.0 * t0)
     t0_bis = _bisect_h_root(params, kernel, float(s), t_max)
     diff = None
-    if t0_formula is not None and t0_bis is not None:
-        diff = abs(t0_formula - t0_bis)
-    return RootReport(t0=t0_formula, regime=regime, s=float(s), C=C,
-                      t0_formula=t0_formula, t0_bisection=t0_bis,
-                      difference=diff, params=params, t_max=float(t_max))
+    if t0 is not None and t0_bis is not None:
+        diff = abs(t0 - t0_bis)
+    return RootReport(t0=t0, regime=regime, s=float(s), C=C,
+                      t0_bisection=t0_bis, difference=diff, params=params,
+                      t_max=float(t_max))
 
 
 def large_p_limit(params, kernel=None, t=1.0,
@@ -376,6 +373,7 @@ def solve_forced(t, solution, forcing, initial=0.0):
     e^(D (2 pi s)^2 tau); k must be band-limited so the product stays
     bounded. With eps = 0 this is the exact linear forced solution.
     """
+    from scipy.integrate import quad_vec
     if not t >= 0:
         raise ValueError("t must be >= 0")
     params, kernel, grid = solution.params, solution.kernel, solution.grid
@@ -424,6 +422,7 @@ def solve_with_kernels(t, solution, extra=(), mode="product_K1"):
     pointwise and raises the product to the n-th power inside the
     integral. An empty profile list falls back to the plain solve.
     """
+    from scipy.integrate import quad_vec
     if mode not in KERNEL_MODES:
         raise ValueError("mode must be one of %s" % (KERNEL_MODES,))
     if not t >= 0:

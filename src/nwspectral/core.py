@@ -16,6 +16,9 @@ DEFAULT_N = 256
 DEFAULT_L = 20.0
 BAND_LIMIT_FLOOR = 1e-8
 
+# Verification suites; "all" runs the other four in this order.
+SUITES = ("all", "conv", "mult", "kernels", "appendix")
+
 
 class SolverError(Exception):
     """A solver could not produce a valid field."""

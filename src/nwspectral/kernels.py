@@ -2,14 +2,14 @@
 rooted kernel, iterated Gaussian self-convolutions, and the two
 transform-table pairs, the second built on scipy's erfc and erfcx.
 
-`erfc` is scipy.special.erfc, re-exported under the package's name.
+`erfc` is scipy.special.erfc, re-exported under the package's name and
+resolved on first access, so importing this module does not import scipy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from .core import PhysicalParams
 from .spectral import circular_convolve
@@ -151,6 +151,7 @@ def erfc_pair(x, t, D, b):
         raise ValueError("D must be positive")
     if not b > 0:
         raise ValueError("b must be positive")
+    from scipy.special import erfc, erfcx
     x = np.asarray(x, dtype=float)
     rate = math.sqrt(b / D)
     denom = 2.0 * math.sqrt(D * t)
@@ -168,3 +169,10 @@ def erfc_pair(x, t, D, b):
 def erfc_pair_codomain(s, t, D, b):
     """e^(-D (2 pi s)^2 t) / (b + D (2 pi s)^2), the codomain side."""
     return gauss_codomain(s, t, D) * lorentzian_codomain(s, D, b)
+
+
+def __getattr__(name):
+    if name == "erfc":
+        from scipy.special import erfc
+        return erfc
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -80,11 +80,6 @@ class MultSolverPlan:
         return -p * p / (2.0 * (p + 1.0))
 
     @property
-    def endpoint_integrable(self):
-        """True when the endpoint power exceeds -1 (only p = 2 qualifies)."""
-        return self.singularity_exponent > -1.0
-
-    @property
     def rooted(self):
         return RootedKernelParams(self.params, self.n)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import KernelSpec, PhysicalParams, SolverError, SpectralField
+from .core import KernelSpec, PhysicalParams, SolverError
 from .conv import ConvSolution, solve_forced
 from .mult import MultSolverPlan, mult_codomain
 from .spectral import TransformPlan, _centred_fft, _centred_ifft
@@ -218,13 +218,6 @@ def step_etd(run):
             times.append(t)
             states.append(u.copy())
     return Trajectory(np.asarray(times), np.asarray(states))
-
-
-def final_field(run):
-    """Convenience: the end state of a run as a SpectralField."""
-    traj = step_etd(run)
-    return SpectralField(run.plan.spectral, float(traj.times[-1]),
-                         traj.values[-1])
 
 
 def scalar_ode_oracle(s, params, u0, t_end):

@@ -18,12 +18,10 @@ from . import conv as _conv
 from . import kernels as _kernels
 from . import mult as _mult
 from . import oracle as _oracle
-from .core import KernelSpec, PhysicalParams, make_grids
+from .core import SUITES, KernelSpec, PhysicalParams, make_grids
 from .spectral import (TransformPlan, circular_convolve_many,
                        conv_theorem_residual, default_plan,
                        derivative_distribution_residual, parseval_defect)
-
-SUITES = ("all", "conv", "mult", "kernels", "appendix")
 
 
 @dataclass(frozen=True)

@@ -450,10 +450,43 @@ class TestSweepCommand:
         assert rc == 1
         capsys.readouterr()
 
-    def test_zero_b_is_rejected(self, tmp_path, capsys):
-        path = _write(tmp_path, "s.json", {"eps": [1.0], "b": [0.0],
-                                           "p": [2]})
-        rc = main(["sweep", "--config", path,
-                   "--out", str(tmp_path / "o.csv")])
-        assert rc == 1
+    def test_zero_b_has_a_root(self, tmp_path, capsys):
+        # at b = 0, h = 1 - eps (p-1) t at s = 0: t0 = 1/(eps (p-1))
+        rows = self._sweep(tmp_path, {"eps": [0.5], "b": [0.0], "p": [2]})
         capsys.readouterr()
+        assert rows == [["0.5", "0", "2", "2", "root_at"]]
+
+
+def _fresh_interpreter(code):
+    """Run code in a new interpreter and return the scipy modules it
+    has loaded at the end."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestColdStart:
+    """scipy is imported only by the commands that use it."""
+
+    def test_cli_import_loads_no_scipy(self):
+        assert _fresh_interpreter("import nwspectral.cli") == "[]"
+
+    def test_sweep_and_conv_solve_load_no_scipy(self, tmp_path):
+        sweep = _write(tmp_path, "s.json", {"eps": [0.5, 2.0], "b": [1.0],
+                                            "p": [2, 3]})
+        solve = _write(tmp_path, "c.json", _base_config())
+        code = ("from nwspectral.cli import main\n"
+                "assert main(['sweep', '--config', %r, '--out', %r]) == 0\n"
+                "assert main(['solve', '--config', %r, '--out-dir', %r]) == 0"
+                % (sweep, str(tmp_path / "s.csv"), solve, str(tmp_path)))
+        assert _fresh_interpreter(code) == "[]"
+        assert (tmp_path / "run_t000.csv").is_file()
+
+    def test_erfc_resolves_to_scipy(self):
+        code = ("import nwspectral, scipy.special\n"
+                "from nwspectral.kernels import erfc\n"
+                "assert nwspectral.erfc is scipy.special.erfc is erfc")
+        _fresh_interpreter(code)

@@ -155,9 +155,13 @@ class TestRootLocus:
                          KernelSpec())
         assert abs(val) < 1e-10
 
-    def test_requires_nonzero_b(self):
-        with pytest.raises(ValueError):
-            root_locus(PhysicalParams(1.0, 0.0, 2.0, 2))
+    def test_zero_b_formula_matches_bisection(self):
+        # at b = 0, s = 0: h = 1 - eps (p-1) t, so t0 = 1/(eps (p-1))
+        for eps, p, want in ((0.5, 2, 2.0), (2.0, 2, 0.5), (0.5, 3, 1.0)):
+            rep = root_locus(PhysicalParams(1.0, 0.0, eps, p))
+            assert rep.regime == "root_at"
+            assert rep.t0 == pytest.approx(want, rel=1e-15)
+            assert rep.difference < 1e-8
 
     @given(st.floats(min_value=1.05, max_value=10.0))
     @settings(max_examples=40, deadline=None)

@@ -29,12 +29,10 @@ class TestPlan:
         assert mp.n == 3
         # integrand carries tau^(-p^2/(2(p+1))); q < 1 is integrable
         assert mp.singularity_exponent == pytest.approx(-4.0 / 6.0)
-        assert mp.endpoint_integrable
 
     def test_derived_quantities_p3(self):
         mp = MultSolverPlan(P3)
         assert mp.singularity_exponent == pytest.approx(-9.0 / 8.0)
-        assert not mp.endpoint_integrable
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(ValueError):

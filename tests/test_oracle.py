@@ -7,8 +7,8 @@ from nwspectral.conv import ConvSolution
 from nwspectral.core import PhysicalParams, SolverError, make_grids
 from nwspectral.kernels import gauss_codomain
 from nwspectral.oracle import (BlowUpError, OracleRun, _dealiased_power,
-                               final_field, resolve_initial,
-                               scalar_ode_oracle, stability_bound, step_etd)
+                               resolve_initial, scalar_ode_oracle,
+                               stability_bound, step_etd)
 from nwspectral.spectral import TransformPlan, default_plan
 
 P_REF = PhysicalParams(1.0, 1.0, 0.1, 2)
@@ -108,12 +108,6 @@ class TestStepping:
         assert traj.times[0] == pytest.approx(0.05)
         assert traj.times[-1] == pytest.approx(0.5)
         assert traj.values.shape == (len(traj.times), plan40.n)
-
-    def test_final_field_wraps_last_state(self, plan40):
-        run = _run(P_REF, plan40, 0.5)
-        field = final_field(run)
-        assert field.time == pytest.approx(0.5)
-        assert field.is_hermitian()
 
     def test_instability_aborts_with_diagnosis(self, plan40):
         # stepping across the blow-up time must fail loudly, not wrap
