@@ -22,13 +22,11 @@ _EXPORTS = {
                  "circular_convolve_many", "conv_theorem_residual",
                  "default_plan", "derivative_distribution_residual",
                  "parseval_defect", "wraparound_mass"),
-    "kernels": ("RootedKernelParams", "erfc", "erfc_pair",
-                "erfc_pair_codomain", "gauss_codomain",
+    "kernels": ("erfc", "erfc_pair", "erfc_pair_codomain", "gauss_codomain",
                 "gauss_selfconv_exact", "heat_kernel",
                 "iterated_gauss_selfconv", "lorentzian_codomain",
                 "lorentzian_pair", "rooted_codomain", "selfconv_discrete"),
-    "conv": ("ConvSolution", "RootReport", "bernoulli_residual",
-             "bernoulli_terms", "beta_of", "codomain_ode_residual",
+    "conv": ("ConvSolution", "RootReport", "beta_of", "codomain_ode_residual",
              "fisher_codomain_expansion", "fisher_erfc_approx",
              "fisher_erfc_transform_consistent", "h_specific",
              "large_p_limit", "root_locus", "root_time", "solve_forced",

@@ -12,7 +12,6 @@ pole policy live here as well.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +119,7 @@ def earliest_root(params, kernel, s):
 class ConvSolution:
     """Bundle of coefficients, integration-constant profile, and grid.
 
-    Point accessors h_spec/F/u evaluate at arbitrary (s, t); u_field
+    Point accessors h_spec/u evaluate at arbitrary (s, t); u_field
     samples the grid frequencies and wraps a SpectralField.
     h_spec(s, 0) = C(s) exactly, and with eps = 0 the solution collapses
     to g e^(-bt) with no quadrature involved.
@@ -136,18 +135,8 @@ class ConvSolution:
         if self.grid is None:
             object.__setattr__(self, "grid", make_grids(DEFAULT_N, DEFAULT_L)[1])
 
-    @property
-    def m(self):
-        return -1.0 / (self.params.p - 1.0)
-
     def h_spec(self, s, t):
         return h_specific(s, t, self.params, self.kernel)
-
-    def F(self, s, t):
-        """F(s,t) = e^(-bt) h^(-1/(p-1)), so that u = g F."""
-        h = h_specific(s, t, self.params, self.kernel)
-        return np.exp(-self.params.b * t) * _h_power(h, self.params.p,
-                                                     self.kernel.pole_policy)
 
     def u(self, s, t):
         return _u_values(self, np.asarray(s, dtype=float), t)
@@ -193,10 +182,6 @@ def solve_physical(t, solution, plan=None):
     return plan.inverse(field)
 
 
-BernoulliTerms = namedtuple("BernoulliTerms", ["derivative", "linear",
-                                               "nonlinear"])
-
-
 def _time_derivative(solution, fn, s, t, dt):
     """d/dt fn(s, t) by the 5-point central stencil with step dt <= 1e-3 t
     (default 1e-3 t), refused within 10 dt of a root of h."""
@@ -211,27 +196,6 @@ def _time_derivative(solution, fn, s, t, dt):
     if np.any(np.abs(roots - t) <= 10.0 * dt):
         raise ValueError("t is within 10 dt of a root of h")
     return _central_diff(lambda k: fn(s, t + k * dt), dt)
-
-
-def bernoulli_terms(solution, s, t, dt=None):
-    """The three identity terms F'g, bFg, eps F^p g^p at (s, t).
-
-    F' uses the 5-point central stencil with step dt <= 1e-3 t.
-    """
-    s = np.asarray(s, dtype=float)
-    Fprime = _time_derivative(solution, solution.F, s, t, dt)
-    params = solution.params
-    F0 = solution.F(s, t)
-    g = gauss_codomain(s, t, params.D)
-    return BernoulliTerms(Fprime * g, params.b * F0 * g,
-                          params.eps * F0 ** params.p * g ** params.p)
-
-
-def bernoulli_residual(solution, s, t, dt=None):
-    """|F'g + bFg - eps F^p g^p| at (s, t), with F' by finite difference."""
-    terms = bernoulli_terms(solution, s, t, dt)
-    out = np.abs(terms.derivative + terms.linear - terms.nonlinear)
-    return out if np.ndim(out) else float(out)
 
 
 def codomain_ode_residual(solution, s, t, dt=None):
@@ -258,19 +222,15 @@ def codomain_ode_residual(solution, s, t, dt=None):
 class RootReport:
     """First zero of h(s, .) with the regime classification.
 
-    t0 carries the formula value when the regime is root_at; the bisection
-    value is an independent cross-check and the report keeps both plus
-    their difference.
+    t0 carries the formula value when the regime is root_at;
+    t0_bisection is an independent cross-check by bisection of h, and
+    difference is their gap (None unless both exist).
     """
 
     t0: object
     regime: str
-    s: float
-    C: float
     t0_bisection: object
     difference: object
-    params: PhysicalParams
-    t_max: float
 
 
 def _bisect_h_root(params, kernel, s, t_max, n_scan=4096, iters=200):
@@ -322,35 +282,28 @@ def root_locus(params, kernel=None, s=0.0, t_max=None):
     diff = None
     if t0 is not None and t0_bis is not None:
         diff = abs(t0 - t0_bis)
-    return RootReport(t0=t0, regime=regime, s=float(s), C=C,
-                      t0_bisection=t0_bis, difference=diff, params=params,
-                      t_max=float(t_max))
+    return RootReport(t0=t0, regime=regime, t0_bisection=t0_bis,
+                      difference=diff)
 
 
-def large_p_limit(params, kernel=None, t=1.0,
-                  p_values=(2, 4, 8, 16, 32, 64, 128), grid=None):
-    """sup_s |h^(-1/(p-1)) - 1| along a doubling sweep in p.
+def large_p_limit(params, kernel=None, t=1.0):
+    """sup_s |h^(-1/(p-1)) - 1| on the default grid along the doubling
+    sweep p = 2, 4, ..., 128.
 
     Any constant to the power 0 is unity, so the sequence decreases to 0.
     Requires C identically 1 and |eps| <= 1; the p carried by params is
     ignored in favor of the sweep.
     """
     kernel = KernelSpec() if kernel is None else kernel
-    grid = make_grids(DEFAULT_N, DEFAULT_L)[1] if grid is None else grid
     if not t > 0:
         raise ValueError("t must be positive")
     if abs(params.eps) > 1.0:
         raise ValueError("|eps| must be <= 1")
-    s = grid.frequencies
+    s = make_grids(DEFAULT_N, DEFAULT_L)[1].frequencies
     if np.any(np.asarray(kernel.C_at(s)) != 1.0):
         raise ValueError("C must be the constant 1")
-    ps = [int(q) for q in p_values]
-    if any(q != float(orig) for q, orig in zip(ps, p_values)) \
-            or any(q < 2 for q in ps) \
-            or any(hi <= lo for lo, hi in zip(ps, ps[1:])):
-        raise ValueError("p sweep must be strictly increasing integers >= 2")
     sups = []
-    for q in ps:
+    for q in (2, 4, 8, 16, 32, 64, 128):
         pq = PhysicalParams(params.D, params.b, params.eps, q)
         h = h_specific(s, t, pq, kernel)
         sups.append(float(np.abs(_h_power(h, q) - 1.0).max()))

@@ -161,23 +161,6 @@ class SpectralField:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def hermitian_defect(self):
-        """max |v(-s) - conj(v(s))| / max|v|.
-
-        The unpaired negative-Nyquist bin contributes through its imaginary
-        part, which must vanish for a real spatial counterpart.
-        """
-        v = self.values
-        scale = float(np.abs(v).max())
-        if scale == 0.0:
-            return 0.0
-        defect = float(np.abs(v[1:] - np.conj(v[1:][::-1])).max())
-        defect = max(defect, abs(float(v[0].imag)))
-        return defect / scale
-
-    def is_hermitian(self, rel_tol=1e-12):
-        return self.hermitian_defect() <= rel_tol
-
 
 POLE_POLICIES = ("error", "clamp", "report")
 

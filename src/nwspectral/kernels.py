@@ -7,11 +7,9 @@ resolved on first access, so importing this module does not import scipy.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalParams
 from .spectral import circular_convolve
 
 def heat_kernel(x, t, D):
@@ -31,30 +29,14 @@ def gauss_codomain(s, t, D):
     return np.exp(-D * (2.0 * math.pi * s) ** 2 * t)
 
 
-@dataclass(frozen=True)
-class RootedKernelParams:
-    """Root order n >= 2 applied to a coefficient set; the solver uses
-    n = p + 1. The derived exponent (1-n)/(2n) lies in (-1/2, 0)."""
-
-    base: PhysicalParams
-    n: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise ValueError("n must be an integer >= 2")
-
-    @property
-    def exponent(self):
-        return (1.0 - self.n) / (2.0 * self.n)
-
-
-def rooted_codomain(s, t, params):
+def rooted_codomain(s, t, D, n):
     """g'(s,t) = sqrt(n) e^(-D (2 pi s)^2 n t) / (4 pi D t)^((1-n)/(2n)),
-    the transform of the n-th root of the heat kernel. Requires t > 0."""
+    the transform of the n-th root of the heat kernel; the multiplicative
+    solver uses n = p + 1. Requires t > 0 and an integer n >= 2."""
     if not t > 0:
         raise ValueError("t must be positive")
-    n = params.n
-    D = params.base.D
+    if not (isinstance(n, int) and n >= 2):
+        raise ValueError("n must be an integer >= 2")
     s = np.asarray(s, dtype=float) if np.ndim(s) else s
     pref = math.sqrt(n) / (4.0 * math.pi * D * t) ** ((1.0 - n) / (2.0 * n))
     return pref * np.exp(-D * (2.0 * math.pi * s) ** 2 * n * t)

@@ -21,8 +21,8 @@ from scipy.integrate import quad, quad_vec
 from .core import (DEFAULT_L, DEFAULT_N, KernelSpec, PhysicalParams,
                    PoleError, SolverError, SpectralField, make_grids)
 from .conv import _check_quadrature, _h_power
-from .kernels import (RootedKernelParams, gauss_codomain, heat_kernel,
-                      iterated_gauss_selfconv, rooted_codomain)
+from .kernels import (gauss_codomain, heat_kernel, iterated_gauss_selfconv,
+                      rooted_codomain)
 from .spectral import _central_diff_time, circular_convolve_many, default_plan
 
 T_MIN = 0.01
@@ -42,46 +42,28 @@ class GrowthWarning(UserWarning):
 class MultSolverPlan:
     """Coefficients plus the solver conventions for the multiplicative case.
 
-    n = p + 1 is the root order of the kernel substitution and
-    m = 1/(1 - p) the Bernoulli exponent; m (p - 1) + 1 = 0 exactly.
-    scaling_hypothesis names which primed-coefficient reading the PDE
-    residual sweep should test. t_min floors all physical-time evaluation:
-    the solution family is singular at the time origin.
+    The kernel substitution roots the heat kernel at order p + 1 and the
+    solution raises h to the Bernoulli exponent 1/(1 - p). t_min floors
+    all physical-time evaluation: the solution family is singular at the
+    time origin. The scaling hypotheses of the PDE residual sweep are an
+    argument of pde_residual_physical, not part of the plan.
     """
 
     params: PhysicalParams
     kernel: KernelSpec = None
-    scaling_hypothesis: str = "none"
     t_min: float = T_MIN
 
     def __post_init__(self):
         if self.kernel is None:
             object.__setattr__(self, "kernel", KernelSpec())
-        if self.scaling_hypothesis not in SCALING_HYPOTHESES:
-            raise ValueError("scaling_hypothesis must be one of %s"
-                             % (SCALING_HYPOTHESES,))
         if not (isinstance(self.t_min, (int, float)) and self.t_min > 0):
             raise ValueError("t_min must be positive")
-        if self.m * (self.params.p - 1) + 1.0 != 0.0:
-            raise ValueError("m(p-1) + 1 must vanish exactly")
-
-    @property
-    def n(self):
-        return self.params.p + 1
-
-    @property
-    def m(self):
-        return 1.0 / (1.0 - self.params.p)
 
     @property
     def singularity_exponent(self):
         """Power of tau in the h integrand at tau -> 0: -p^2/(2(p+1))."""
         p = self.params.p
         return -p * p / (2.0 * (p + 1.0))
-
-    @property
-    def rooted(self):
-        return RootedKernelParams(self.params, self.n)
 
 
 def _mult_prefactor(t, plan):
@@ -314,7 +296,7 @@ def mult_codomain(t, plan, grid=None):
     s = grid.frequencies
     h = h_mult_quadrature(s, t, plan)
     flagged = ~np.isfinite(h)
-    rooted = rooted_codomain(s, t, plan.rooted)
+    rooted = rooted_codomain(s, t, plan.params.D, plan.params.p + 1)
     hp = _h_power(np.where(flagged, 1.0, h), plan.params.p,
                   plan.kernel.pole_policy)
     u = np.where(flagged, 0.0, rooted * hp)
@@ -398,12 +380,11 @@ def fisher_constant_prob(x, t, D, eps, prob_product):
     return heat_kernel(x, t, D) * math.exp(eps * prob_product * t)
 
 
-def fisher_quadratic(t, plan, prob_spectra=(), prob_product=1.0, grid=None):
-    """u(s,t) = g e^(-eps int_0^t P (g conv p1 conv ...) d tau) for p = 2.
+def fisher_quadratic(t, plan, prob_product=1.0, grid=None):
+    """u(s,t) = g e^(-eps int_0^t P g d tau) for p = 2.
 
-    h = exp(+eps int ...) and u = g h^(-1). With an empty spectra list the
-    chain is P g alone, and every frequency matches the scalar integration
-    of u' = -D (2 pi s)^2 u - eps P g u.
+    h = exp(+eps int ...) and u = g h^(-1); every frequency matches the
+    scalar integration of u' = -D (2 pi s)^2 u - eps P g u.
     """
     if plan.params.p != 2:
         raise ValueError("p must be 2")
@@ -414,21 +395,9 @@ def fisher_quadratic(t, plan, prob_spectra=(), prob_product=1.0, grid=None):
     grid = make_grids(DEFAULT_N, DEFAULT_L)[1] if grid is None else grid
     s = grid.frequencies
     D, eps = plan.params.D, plan.params.eps
-    spectra = []
-    for q in prob_spectra:
-        arr = np.asarray(q(s) if callable(q) else q, dtype=float)
-        if arr.shape != s.shape:
-            raise ValueError("probability spectrum length must match grid")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probability spectra must be finite")
-        spectra.append(arr)
 
     def chain(tau):
-        g = gauss_codomain(s, tau, D)
-        if spectra:
-            return prob_product * circular_convolve_many([g] + spectra,
-                                                         grid.ds)
-        return prob_product * g
+        return prob_product * gauss_codomain(s, tau, D)
 
     tol = plan.kernel.quad_rel_tol
     integral, err = quad_vec(chain, 0.0, float(t),

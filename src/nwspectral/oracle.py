@@ -141,8 +141,9 @@ def resolve_initial(run):
         return np.array(field.values, dtype=complex)
     solution = ConvSolution(run.params, run.kernel, run.plan.spectral)
     if run.nonlinearity == "forced_convolution":
-        return np.asarray(
-            solve_forced(run.t_start, solution, run.forcing), dtype=complex)
+        return np.array(
+            solve_forced(run.t_start, solution, run.forcing).values,
+            dtype=complex)
     return np.array(solution.u_field(run.t_start).values, dtype=complex)
 
 

@@ -18,9 +18,8 @@ from . import conv as _conv
 from . import kernels as _kernels
 from . import mult as _mult
 from . import oracle as _oracle
-from .core import SUITES, KernelSpec, PhysicalParams, make_grids
-from .spectral import (TransformPlan, circular_convolve_many,
-                       conv_theorem_residual, default_plan,
+from .core import SUITES, PhysicalParams
+from .spectral import (conv_theorem_residual, default_plan,
                        derivative_distribution_residual, parseval_defect)
 
 
@@ -93,11 +92,6 @@ class VerificationReport:
         return lines
 
 
-def _plan_40():
-    sp, sg = make_grids(256, 40.0)
-    return TransformPlan(sp, sg)
-
-
 def _pulse_window(t):
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 0.2)
@@ -157,7 +151,7 @@ def suite_conv():
                                {"t": [0.2, 0.5, 1.0], "dt": 1e-5}))
 
     # acceptance 3: ETD oracle agreement and convergence order
-    plan40 = _plan_40()
+    plan40 = default_plan(256, 40.0)
     p_smoke = PhysicalParams(1.0, 1.0, 0.1, 2)
     errs, orders = _etd_order(p_smoke, plan40, 0.5, levels=1)
     records.append(CheckRecord("conv/oracle_l2", errs[0], 1e-3,
@@ -311,12 +305,13 @@ def suite_conv():
 def fisher_erfc_records(resolutions):
     """Acceptance-6 comparison plus the consistent-inversion identity."""
     pf = PhysicalParams(1.0, 1.0, 0.01, 2)
-    sp, sg = make_grids(4096, 80.0)
-    plan = TransformPlan(sp, sg)
-    spectrum = _conv.fisher_codomain_expansion(sg.frequencies, 0.5, pf)
+    plan = default_plan(4096, 80.0)
+    x = plan.spatial.points
+    spectrum = _conv.fisher_codomain_expansion(plan.spectral.frequencies,
+                                               0.5, pf)
     from_dft = plan.inverse(spectrum)
-    printed = _conv.fisher_erfc_approx(sp.points, 0.5, pf)
-    consistent = _conv.fisher_erfc_transform_consistent(sp.points, 0.5, pf)
+    printed = _conv.fisher_erfc_approx(x, 0.5, pf)
+    consistent = _conv.fisher_erfc_transform_consistent(x, 0.5, pf)
     linf_printed = float(np.max(np.abs(printed - from_dft)))
     linf_consistent = float(np.max(np.abs(consistent - from_dft)))
     resolutions.append(Resolution(
@@ -502,6 +497,20 @@ def suite_mult():
     return records, resolutions
 
 
+def _lorentzian_forward_gap():
+    """sup |forward DFT of the Lorentzian pair - its codomain side| at
+    D = b = 1 on the 32768/20 grid.
+
+    The |x| kink puts 1/s^2 tails in codomain; resolving them to 1e-6
+    needs this refined grid (the error falls as dx^2: 8.9e-7 at n = 16384).
+    """
+    plan = default_plan(32768, 20.0)
+    fwd = plan.forward(_kernels.lorentzian_pair(plan.spatial.points,
+                                                1.0, 1.0)).values
+    want = _kernels.lorentzian_codomain(plan.spectral.frequencies, 1.0, 1.0)
+    return float(np.max(np.abs(fwd - want)))
+
+
 def suite_kernels():
     records, resolutions = [], []
     plan = default_plan()
@@ -532,9 +541,7 @@ def suite_kernels():
     # factor-count resolution: n factors of the rooted kernel remake g
     worst = 0.0
     for p in (2, 3):
-        rp = _kernels.RootedKernelParams(PhysicalParams(1.0, 1.0, 0.1, p),
-                                         p + 1)
-        rooted = _kernels.rooted_codomain(grid.frequencies, 0.4, rp)
+        rooted = _kernels.rooted_codomain(grid.frequencies, 0.4, 1.0, p + 1)
         back = _kernels.selfconv_discrete(rooted, p, grid.ds)
         want = _kernels.gauss_codomain(grid.frequencies, 0.4, 1.0)
         worst = max(worst, float(np.max(np.abs(back - want))))
@@ -547,16 +554,8 @@ def suite_kernels():
         "(n operators, n+1 factors) does not",
         {"max_gap_factors": worst}))
 
-    # the |x| kink puts 1/s^2 tails in codomain; resolving them to 1e-6
-    # needs the refined grid (error falls as dx^2: 8.9e-7 at n=16384)
-    plan_fine = default_plan(32768, 20.0)
-    lor = _kernels.lorentzian_pair(plan_fine.spatial.points, 1.0, 1.0)
-    lfwd = plan_fine.forward(lor).values
-    lwant = _kernels.lorentzian_codomain(plan_fine.spectral.frequencies,
-                                         1.0, 1.0)
     records.append(CheckRecord(
-        "kernels/lorentzian_transform",
-        float(np.max(np.abs(lfwd - lwant))), 1e-6,
+        "kernels/lorentzian_transform", _lorentzian_forward_gap(), 1e-6,
         {"D": 1.0, "b": 1.0, "grid": [32768, 20]}))
 
     trans = np.abs(math.exp(-50.0)
@@ -604,14 +603,8 @@ def suite_appendix():
                                {"t": 0.3}))
 
     # A1: forward direction on a kink-resolving grid; inverse off the kink
-    plan_fine = default_plan(32768, 20.0)
-    a1 = _kernels.lorentzian_pair(plan_fine.spatial.points, 1.0, 1.0)
-    a1_fwd = plan_fine.forward(a1).values
-    a1_want = _kernels.lorentzian_codomain(plan_fine.spectral.frequencies,
-                                           1.0, 1.0)
     records.append(CheckRecord(
-        "appendix/a1_forward",
-        float(np.max(np.abs(a1_fwd - a1_want))), 1e-6,
+        "appendix/a1_forward", _lorentzian_forward_gap(), 1e-6,
         {"D": 1.0, "b": 1.0, "grid": [32768, 20]}))
     plan_inv = default_plan(16384, 40.0)
     inv = plan_inv.inverse(_kernels.lorentzian_codomain(

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpatialGrid, SpectralGrid, SpectralField, make_grids
+from .core import (DEFAULT_L, DEFAULT_N, SpatialGrid, SpectralField,
+                   SpectralGrid, make_grids)
 
 IMAG_RESIDUE_TOL = 1e-10
 
@@ -85,7 +86,6 @@ class TransformPlan:
 
 
 def default_plan(n_points=None, length=None):
-    from .core import DEFAULT_N, DEFAULT_L
     n = DEFAULT_N if n_points is None else n_points
     ell = DEFAULT_L if length is None else length
     spatial, spectral = make_grids(n, ell)

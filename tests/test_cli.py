@@ -153,6 +153,21 @@ class TestExitCodes:
         assert err.startswith("solver error (nwspectral.mult)")
         assert "Traceback" not in err
 
+    def test_mult_at_p_fifty_solves(self, tmp_path, capsys):
+        # p = 50 is one of the orders where 1/(1 - p) (p - 1) + 1 is not
+        # exactly 0 in floating point; the solve must not depend on it
+        cfg = _base_config(equation="mult", grid={"n": 256, "length": 20.0},
+                           times=[0.5])
+        cfg["params"] = {"D": 1.0, "b": 0.01, "eps": -0.1, "p": 50}
+        path = _write(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", path, "--out-dir", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        capsys.readouterr()
+        rows = list(csv.reader((out / "run_t000.csv").open(newline="")))
+        assert len(rows) == 257
+        assert all(math.isfinite(float(u)) for _, u in rows[1:])
+
     def test_fisher_erfc_at_large_time_is_finite(self, tmp_path, capsys):
         # e^(bt) alone would overflow at t = 800; the erfcx form does not
         cfg = _base_config(equation="fisher_erfc", times=[800.0])

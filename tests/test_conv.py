@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nwspectral.conv import (REGIMES, ConvSolution, beta_of, bernoulli_residual,
-                             bernoulli_terms, codomain_ode_residual,
+from nwspectral.conv import (REGIMES, ConvSolution, beta_of,
+                             codomain_ode_residual,
                              fisher_codomain_expansion, fisher_erfc_approx,
                              fisher_erfc_transform_consistent, h_specific,
                              large_p_limit, root_locus, root_time,
@@ -71,7 +71,7 @@ class TestPulledOutForm:
         s = plan.spectral.frequencies
         for params in (P_REF, PhysicalParams(0.5, 2.0, 0.05, 4)):
             sol = ConvSolution(params, grid=plan.spectral)
-            m = sol.m
+            m = -1.0 / (params.p - 1.0)
             for t in (0.2, 0.8):
                 h = h_specific(s, t, params, KernelSpec())
                 pulled = gauss_codomain(s, t, params.D) \
@@ -90,13 +90,6 @@ class TestCodomainResiduals:
                 worst = float(np.max(codomain_ode_residual(sol, s, t,
                                                            dt=1e-5)))
                 assert worst < 1e-6, (combo, t)
-
-    def test_bernoulli_terms_balance(self):
-        sol = ConvSolution(P_REF)
-        terms = bernoulli_terms(sol, 0.3, 0.5)
-        assert abs(terms.derivative + terms.linear - terms.nonlinear) \
-            < 1e-8 * abs(terms.linear)
-        assert bernoulli_residual(sol, 0.3, 0.5) < 1e-8
 
     def test_rejects_oversized_stencil_step(self):
         sol = ConvSolution(P_REF)

@@ -69,19 +69,6 @@ class TestGrids:
 
 
 class TestSpectralField:
-    def test_hermitian_gaussian_passes(self):
-        _, grid = make_grids(64, 8.0)
-        vals = np.exp(-grid.frequencies ** 2)
-        field = SpectralField(grid, 0.5, vals)
-        assert field.is_hermitian()
-
-    def test_broken_symmetry_detected(self):
-        _, grid = make_grids(64, 8.0)
-        vals = np.exp(-grid.frequencies ** 2).astype(complex)
-        vals[40] += 1e-3j
-        field = SpectralField(grid, 0.5, vals)
-        assert not field.is_hermitian()
-
     def test_values_are_frozen(self):
         _, grid = make_grids(64, 8.0)
         field = SpectralField(grid, 0.0, np.ones(64))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nwspectral.core import PhysicalParams, make_grids
-from nwspectral.kernels import (RootedKernelParams, erfc, erfc_pair,
+from nwspectral.core import make_grids
+from nwspectral.kernels import (erfc, erfc_pair,
                                 erfc_pair_codomain, gauss_codomain,
                                 gauss_selfconv_exact, heat_kernel,
                                 iterated_gauss_selfconv,
@@ -71,12 +71,7 @@ class TestHeatKernel:
 class TestRootedKernel:
     def test_rejects_trivial_root_order(self):
         with pytest.raises(ValueError):
-            RootedKernelParams(PhysicalParams(1.0, 1.0, 0.1, 2), 1)
-
-    def test_exponent_range(self):
-        for n in (2, 3, 9):
-            rp = RootedKernelParams(PhysicalParams(1.0, 1.0, 0.1, 2), n)
-            assert -0.5 < rp.exponent < 0.0
+            rooted_codomain(0.0, 0.4, 1.0, 1)
 
     def test_n_factors_remake_the_heat_transform(self):
         # n factors need n-1 convolution operators; this pins the
@@ -84,8 +79,7 @@ class TestRootedKernel:
         plan = default_plan()
         s = plan.spectral.frequencies
         for p in (2, 3):
-            rp = RootedKernelParams(PhysicalParams(1.0, 1.0, 0.1, p), p + 1)
-            rooted = rooted_codomain(s, 0.4, rp)
+            rooted = rooted_codomain(s, 0.4, 1.0, p + 1)
             back = selfconv_discrete(rooted, p, plan.ds)
             want = gauss_codomain(s, 0.4, 1.0)
             assert np.max(np.abs(back - want)) < 1e-8
@@ -93,8 +87,7 @@ class TestRootedKernel:
     def test_off_by_one_convention_fails(self):
         plan = default_plan()
         s = plan.spectral.frequencies
-        rp = RootedKernelParams(PhysicalParams(1.0, 1.0, 0.1, 2), 3)
-        rooted = rooted_codomain(s, 0.4, rp)
+        rooted = rooted_codomain(s, 0.4, 1.0, 3)
         over = selfconv_discrete(rooted, 3, plan.ds)
         want = gauss_codomain(s, 0.4, 1.0)
         assert np.max(np.abs(over - want)) > 1e-2

@@ -26,7 +26,6 @@ def plan():
 class TestPlan:
     def test_derived_quantities_p2(self):
         mp = MultSolverPlan(P2)
-        assert mp.n == 3
         # integrand carries tau^(-p^2/(2(p+1))); q < 1 is integrable
         assert mp.singularity_exponent == pytest.approx(-4.0 / 6.0)
 
@@ -38,9 +37,11 @@ class TestPlan:
         with pytest.raises(ValueError):
             MultSolverPlan(P2, t_min=0.0)
 
-    def test_rejects_unknown_hypothesis(self):
-        with pytest.raises(ValueError):
-            MultSolverPlan(P2, scaling_hypothesis="times_two")
+    def test_plan_at_p_fifty_constructs(self):
+        # 1/(1 - p) (p - 1) + 1 is not exactly 0 in floating point at
+        # p = 50; the plan must not depend on that round-off
+        mp = MultSolverPlan(PhysicalParams(1.0, 0.01, -0.1, 50))
+        assert mp.params.p == 50
 
 
 class TestQuadrature:
@@ -101,7 +102,7 @@ class TestSolutionField:
         s = plan.spectral.frequencies
         field, flagged = mult_codomain(0.5, mp, plan.spectral)
         h = h_mult_quadrature(s, 0.5, mp)
-        rooted = rooted_codomain(s, 0.5, mp.rooted)
+        rooted = rooted_codomain(s, 0.5, P3.D, P3.p + 1)
         want = rooted * h ** (1.0 / (1.0 - 3.0))
         assert not flagged.any()
         assert np.max(np.abs(field.values - want)) < 1e-12

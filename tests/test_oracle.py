@@ -139,6 +139,24 @@ class TestResolveInitial:
         run = _run(P_REF, plan40, 0.5, initial=init)
         assert np.array_equal(resolve_initial(run), init)
 
+    def test_forced_default_is_the_forced_solution(self, plan40):
+        # at eps = 0 the forced construction is exact, so stepping from its
+        # value at t_start must land on its value at t_end
+        from nwspectral.conv import solve_forced
+        from nwspectral.report import _gauss_profile, _pulse_window
+        params = PhysicalParams(1.0, 1.0, 0.0, 2)
+        gauss = _gauss_profile(0.5)
+
+        def forcing(s, tau):
+            return 0.2 * gauss(s) * _pulse_window(tau)
+
+        run = _run(params, plan40, 0.4, factor=2,
+                   nonlinearity="forced_convolution", forcing=forcing)
+        got = step_etd(run).values[-1]
+        solution = ConvSolution(params, grid=plan40.spectral)
+        want = solve_forced(0.4, solution, forcing).values
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
+
     def test_rejects_non_finite_initial(self, plan40):
         init = np.ones(plan40.n)
         init[0] = np.inf
