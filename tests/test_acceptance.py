@@ -46,9 +46,8 @@ class _Budget:
                                                           self.seconds)
 
 
-def _etd_errors(params, plan, t_end, levels):
+def _etd_errors(params, plan, t_end, base, levels):
     span = t_end - 0.05
-    base = math.ceil(span / _oracle.stability_bound(params, plan))
     exact = _conv.ConvSolution(params,
                                grid=plan.spectral).u_field(t_end).values
     errs = []
@@ -91,14 +90,14 @@ def test_criterion_03_oracle_equivalence_conv():
     with _Budget(10.0):
         spatial, spectral = make_grids(256, 40.0)
         plan = TransformPlan(spatial, spectral)
-        errs = _etd_errors(PhysicalParams(1.0, 1.0, 0.1, 2), plan, 0.5,
+        errs = _etd_errors(PhysicalParams(1.0, 1.0, 0.1, 2), plan, 0.5, 92,
                            levels=1)
         assert errs[0] < 1e-3, "relative L2 %.3e" % errs[0]
         order = math.log2(errs[0] / errs[1])
         assert abs(order - 4.0) < 0.5, "smoke order %.2f" % order
         # order measured away from the round-off floor
         errs2 = _etd_errors(PhysicalParams(1.0, 1.0, 2.0, 2), plan, 0.65,
-                            levels=3)
+                            123, levels=3)
         orders = [math.log2(a / b) for a, b in zip(errs2, errs2[1:])]
         assert all(abs(o - 4.0) < 0.5 for o in orders), orders
 
@@ -221,10 +220,9 @@ def test_criterion_09_maximum_principle_surrogate():
                 sol = _conv.ConvSolution(params, grid=grid)
                 sups = [float(np.abs(_conv.solve_physical(
                     t, sol, plan)).max()) for t in times]
+                steps = 770 if b == 0.0 else 771
                 run = _oracle.OracleRun(
-                    params, plan, "convolution_p", 0.05, 1.0,
-                    0.95 / (math.ceil(
-                        0.95 / _oracle.stability_bound(params, plan)) + 1),
+                    params, plan, "convolution_p", 0.05, 1.0, 0.95 / steps,
                     store_every=5)
                 traj = _oracle.step_etd(run)
                 sups_oracle = [float(np.abs(plan.inverse(state)).max())

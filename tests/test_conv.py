@@ -14,8 +14,7 @@ from nwspectral.conv import (REGIMES, ConvSolution, beta_of,
 from nwspectral.core import (BranchError, KernelSpec, PhysicalParams,
                              PoleError, make_grids)
 from nwspectral.kernels import gauss_codomain, heat_kernel
-from nwspectral.oracle import (OracleRun, scalar_ode_oracle, stability_bound,
-                               step_etd)
+from nwspectral.oracle import OracleRun, scalar_ode_oracle, step_etd
 from nwspectral.spectral import TransformPlan, default_plan
 
 P_REF = PhysicalParams(1.0, 1.0, 0.1, 2)
@@ -341,7 +340,7 @@ class TestForced:
             return 0.2 * prof * win
 
         ic = solve_forced(0.05, sol, forcing, initial=1.0).values
-        steps = math.ceil(0.35 / stability_bound(P_REF, plan40)) * 2
+        steps = 144
         run = OracleRun(P_REF, plan40, "forced_convolution", 0.05, 0.4,
                         0.35 / steps, initial=ic, forcing=forcing)
         traj = step_etd(run)
@@ -383,7 +382,7 @@ class TestKernelModes:
                                 mode="product_K1")
         f1 = solve_with_kernels(0.4, sol, extra=(self._gauss_profile,),
                                 mode="product_K1")
-        steps = math.ceil(0.35 / stability_bound(P_REF, plan40)) * 2
+        steps = 144
         run = OracleRun(P_REF, plan40, "convolution_p", 0.05, 0.4,
                         0.35 / steps, initial=f0.values)
         traj = step_etd(run)
@@ -401,7 +400,7 @@ class TestKernelModes:
                                 mode="convolution_K2")
         f1 = solve_with_kernels(0.4, sol, extra=(self._gauss_profile,),
                                 mode="convolution_K2")
-        steps = math.ceil(0.35 / stability_bound(P_REF, plan40)) * 2
+        steps = 144
         run = OracleRun(P_REF, plan40, "convolution_p", 0.05, 0.4,
                         0.35 / steps, initial=f0.values,
                         kernel_profile=self._gauss_profile)
