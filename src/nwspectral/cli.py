@@ -285,19 +285,25 @@ def _solve_fields(config, plan):
         mplan = _mult.MultSolverPlan(params, kernel=config.kernel, **extra)
         overflow = {}
         residuals = {}
+        gaps = {}
         for t in config.times:
             field, flagged = _mult.mult_codomain(t, mplan, plan.spectral)
             overflow[_fmt17(t)] = int(np.count_nonzero(flagged))
             if np.all(np.isfinite(field.values)):
                 columns.append(plan.inverse(field))
+                # the scalar quadrature cross-checks the closed-form h
                 cert = _mult.h_mult_certificate(0.0, t, mplan)
+                h0 = _mult.h_mult_quadrature(0.0, t, mplan)
                 residuals[_fmt17(t)] = cert.error
+                gaps[_fmt17(t)] = abs(h0 - cert.value) / abs(cert.value)
             else:
                 columns.append(np.full(x.shape, math.nan))
                 pole_times.append(t)
                 residuals[_fmt17(t)] = None
+                gaps[_fmt17(t)] = None
         meta["overflow_flagged"] = overflow
-        meta["residual_summary"] = {"h_quadrature_error_at_s0": residuals}
+        meta["residual_summary"] = {"h_quadrature_error_at_s0": residuals,
+                                    "h_closed_form_vs_quad_at_s0": gaps}
 
     elif config.equation == "fisher_erfc":
         gaps = {}

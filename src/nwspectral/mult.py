@@ -4,10 +4,11 @@ In the codomain the pointwise power becomes a p-fold convolution, which the
 rooted-kernel substitution turns back into a Bernoulli structure: the n-th
 root of the heat kernel (n = p + 1) carries the linear part and a time
 integral with an endpoint singularity carries the nonlinear response. The
-resulting h(s,t) is evaluated by adaptive quadrature with the singularity
-removed by a power substitution, and the formulas are treated as claims
-under test: the PDE residual machinery in this module measures, rather
-than assumes, which coefficient scaling (if any) the construction solves.
+resulting h(s,t) is evaluated in closed form through the confluent
+hypergeometric function 1F1, and cross-checked by an independent scalar
+quadrature. The formulas are treated as claims under test: the PDE
+residual machinery in this module measures, rather than assumes, which
+coefficient scaling (if any) the construction solves.
 """
 
 import math
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
+from scipy.special import hyp1f1
 
 from .core import (DEFAULT_L, DEFAULT_N, KernelSpec, PhysicalParams,
                    PoleError, SolverError, SpectralField, make_grids)
@@ -106,9 +108,15 @@ def _endpoint_rule(expo, t, t_min):
 def _mult_integral(s, t, plan):
     """(integral values, flagged mask) of int e^(a tau) tau^(-q) d tau.
 
-    Integrable endpoints (p = 2) are integrated from 0 under the bounding
-    substitution; non-integrable ones from the t_min cutoff, which is a
-    recorded deviation of the formula, not of the quadrature.
+    Closed form: with c = 1 - q, F(tau) = tau^c 1F1(c; c+1; a tau) / c is
+    an antiderivative (DLMF 13.2, 8.5), and c is neither 0 nor c + 1 a
+    non-positive integer for any integer p >= 2. Integrable endpoints
+    (p = 2, c > 0, F(0) = 0) are taken from 0; non-integrable ones from
+    the t_min cutoff, which is a recorded deviation of the formula.
+
+    For p >= 3 and a t_min well below -1, F(t) - F(t_min) cancels: at
+    b = 100, p = 3 I is up to 1.7e-10 relative off, but coef I is then
+    1e-4 of C = 1 and h = pref (coef I + C) stays within 1.5e-14.
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     a = _growth_rate(s, plan)
@@ -118,30 +126,23 @@ def _mult_integral(s, t, plan):
     if not np.any(band):
         return out, flagged
     ab = a[band]
-    q = -plan.singularity_exponent
-    tol = plan.kernel.quad_rel_tol
-    lower, upper, alpha = _endpoint_rule(plan.singularity_exponent, t,
-                                         plan.t_min)
-    if alpha is None:
-        def fn(tau):
-            return tau ** (-q) * np.exp(ab * tau)
-    else:
-        power = alpha * (1.0 - q) - 1.0  # >= 0 by the choice of alpha
+    c = 1.0 + plan.singularity_exponent
+    # 0 or t_min; an integrable endpoint's 0 is 0 in either coordinate
+    lower = _endpoint_rule(plan.singularity_exponent, t, plan.t_min)[0]
 
-        def fn(sigma):
-            return alpha * sigma ** power * np.exp(ab * sigma ** alpha)
+    def antiderivative(tau):
+        return tau ** c * hyp1f1(c, c + 1.0, ab * tau) / c
 
-    val, err = quad_vec(fn, lower, upper, epsabs=1e-14, epsrel=tol,
-                        norm="max")
-    _check_quadrature(err, val, tol)
-    out[band] = val
+    out[band] = antiderivative(float(t)) - antiderivative(lower)
     return out, flagged
 
 
 def h_mult_quadrature(s, t, plan):
     """h(s,t) = e^((p^2-1)bt) t^((p^2-p)/(2p+2)) [coef * I(s,t) + C(s)] with
     coef = eps (1-p) sqrt(p+1) (4 pi D)^(-p/(2p+2)) and I the time integral
-    of e^(p D (2 pi s)^2 tau + (1-p^2) b tau) tau^(-p^2/(2(p+1))).
+    of e^(p D (2 pi s)^2 tau + (1-p^2) b tau) tau^(-p^2/(2(p+1))), taken
+    in closed form (see _mult_integral), so every frequency is accurate
+    on its own and quad_rel_tol plays no part.
 
     Frequencies where the integrand exponent overflows are flagged and
     return signed infinity; the solution factor h^(1/(1-p)) carries them
@@ -172,11 +173,12 @@ QuadCertificate = namedtuple("QuadCertificate",
 
 
 def h_mult_certificate(s, t, plan):
-    """Self-convergence certificate for the h quadrature at one (s, t).
+    """Scalar-quadrature certificate for h at one (s, t).
 
-    Runs the integral at the working tolerance and again at half of it;
-    the certificate is honest when the observed change stays within the
-    scaled error estimate of the coarser run.
+    Integrates numerically, independently of the closed form that
+    h_mult_quadrature uses, at the working tolerance and again at half of
+    it; the certificate is honest when the observed change stays within
+    the scaled error estimate of the coarser run.
     """
     if not t > 0:
         raise ValueError("t must be positive")

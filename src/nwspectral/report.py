@@ -367,6 +367,21 @@ def suite_mult():
         "change stays within the reported error estimate at every probe",
         {"probes": probes}))
 
+    # the grid h is evaluated for every frequency at once; each component
+    # must match the scalar certificate at its own (s, t)
+    grid_gap = 0.0
+    for mp in plans:
+        for t in (0.5, 1.0, 2.0, 4.0):
+            h = _mult.h_mult_quadrature(grid.frequencies, t, mp)
+            for target in (0.0, 0.5, 1.0):
+                k = int(np.argmin(np.abs(grid.frequencies - target)))
+                want = _mult.h_mult_certificate(grid.frequencies[k], t,
+                                                mp).value
+                grid_gap = max(grid_gap, abs(h[k] - want) / abs(want))
+    records.append(CheckRecord("mult/h_grid_vs_certificate", grid_gap, 1e-8,
+                               {"p": [2, 3], "t": [0.5, 1.0, 2.0, 4.0],
+                                "s": [0.0, 0.5, 1.0]}))
+
     # acceptance 8b: scaling-hypothesis residual table
     dt = 1e-3
     times = np.array([0.5 + k * dt for k in range(-2, 3)])
@@ -496,8 +511,8 @@ def suite_mult():
     for target in (0.0, 0.2, 0.5):
         idx = int(np.argmin(np.abs(grid.frequencies - target)))
         s0 = float(grid.frequencies[idx])
-        sol = solve_ivp(rhs, (0.0, 1.0), [1.0], args=(s0,), rtol=1e-12,
-                        atol=1e-14)
+        sol = solve_ivp(rhs, (0.0, 1.0), [1.0], args=(s0,), method="DOP853",
+                        rtol=1e-12, atol=1e-14)
         worst = max(worst, abs(sol.y[0, -1] - float(fq.values[idx].real)))
     records.append(CheckRecord("mult/fisher_quadratic_ode", worst, 1e-10,
                                {"prob_product": 0.25}))

@@ -260,6 +260,23 @@ class TestSolveOutputs:
         residuals = meta["residual_summary"]["codomain_ode_relative"]
         assert all(v < 1e-6 for v in residuals.values())
 
+    @pytest.mark.parametrize("p, eps", [(2, 0.01), (3, -0.5)])
+    def test_mult_sidecar_cross_checks_the_closed_form(self, tmp_path,
+                                                       capsys, p, eps):
+        cfg = _base_config(equation="mult", grid={"n": 256, "length": 20.0},
+                           times=[0.5, 1.0, 4.0])
+        cfg["params"].update(p=p, eps=eps)
+        path = _write(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        meta = json.loads((out / "run_meta.json").read_text("utf-8"))
+        summary = meta["residual_summary"]
+        gaps = summary["h_closed_form_vs_quad_at_s0"]
+        assert gaps.keys() == summary["h_quadrature_error_at_s0"].keys()
+        assert len(gaps) == 3
+        assert all(math.isfinite(g) and g <= 1e-8 for g in gaps.values())
+
     def test_pole_rows_are_literal_nan(self, tmp_path, capsys):
         # every time at or past the earliest root of h is a nan column
         t0 = math.log(2.0)

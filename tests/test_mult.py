@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,43 @@ class TestQuadrature:
     def test_certificate_property(self, s, t):
         cert = h_mult_certificate(s, t, MultSolverPlan(P2))
         assert cert.observed_change <= max(cert.error, 1e-16)
+
+
+class TestClosedFormAccuracy:
+    """h on the whole grid against 40-digit mpmath quadrature of its
+    defining integral, at D = 1, eps = -0.5 and the default C = 1."""
+
+    @staticmethod
+    def _reference(s, t, mp):
+        p, b = mp.params.p, mp.params.b
+        with mpmath.workdps(40):
+            s, t, b, eps = (mpmath.mpf(float(v)) for v in
+                            (s, t, b, mp.params.eps))
+            a = p * (2 * mpmath.pi * s) ** 2 + (1 - p * p) * b
+            q = mpmath.mpf(p * p) / (2 * (p + 1))
+            lower = 0 if p == 2 else mpmath.mpf(mp.t_min)
+            integral = mpmath.quad(lambda tau: tau ** -q * mpmath.exp(a * tau),
+                                   [lower, t])
+            pref = (mpmath.exp((p * p - 1) * b * t)
+                    * t ** (mpmath.mpf(p * p - p) / (2 * p + 2)))
+            coef = (eps * (1 - p) * mpmath.sqrt(p + 1)
+                    * (4 * mpmath.pi) ** (-mpmath.mpf(p) / (2 * p + 2)))
+            return pref * (coef * integral + 1)
+
+    # b = 100 takes 1F1 to arguments near -400; at that b the prefactor
+    # e^((p^2 - 1) b t) leaves the double range past t = 0.88
+    @pytest.mark.parametrize("p, b, t", [(2, 1.0, 1.0), (3, 1.0, 0.5),
+                                         (3, 1.0, 1.0), (3, 1.0, 2.0),
+                                         (3, 1.0, 4.0), (4, 1.0, 1.0),
+                                         (3, 100.0, 0.5)])
+    def test_grid_h_matches_mpmath(self, plan, p, b, t):
+        mp = MultSolverPlan(PhysicalParams(1.0, b, -0.5, p))
+        s = plan.spectral.frequencies
+        h = h_mult_quadrature(s, t, mp)
+        for target in (0.0, 0.5, 1.0):
+            k = int(np.argmin(np.abs(s - target)))
+            want = self._reference(s[k], t, mp)
+            assert abs(float((h[k] - want) / want)) <= 1e-13, (s[k], h[k])
 
 
 class TestSolutionField:
