@@ -25,7 +25,7 @@ _EXPORTS = {
     "kernels": ("erfc", "erfc_pair", "erfc_pair_codomain", "gauss_codomain",
                 "gauss_selfconv_exact", "heat_kernel",
                 "iterated_gauss_selfconv", "lorentzian_codomain",
-                "lorentzian_pair", "rooted_codomain", "selfconv_discrete"),
+                "lorentzian_pair", "rooted_codomain"),
     "conv": ("ConvSolution", "RootReport", "beta_of", "codomain_ode_residual",
              "fisher_codomain_expansion", "fisher_erfc_approx",
              "fisher_erfc_transform_consistent", "h_specific",

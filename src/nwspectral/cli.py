@@ -31,7 +31,7 @@ _TOP_KEYS = {"equation", "params", "grid", "times", "kernel", "output",
              "prob_product", "t_min"}
 _PARAM_KEYS = {"D", "b", "eps", "p"}
 _GRID_KEYS = {"n", "length"}
-_KERNEL_KEYS = {"C", "quad_rel_tol", "pole_policy"}
+_KERNEL_KEYS = {"C", "pole_policy"}
 _OUTPUT_KEYS = {"basename"}
 _SWEEP_KEYS = {"eps", "b", "p", "D"}
 _RANGE_KEYS = {"start", "stop", "count"}
@@ -144,8 +144,6 @@ class RunConfig:
         try:
             kernel = KernelSpec(
                 C=_as_float(kblock.get("C", 1.0), "C"),
-                quad_rel_tol=_as_float(kblock.get("quad_rel_tol", 1e-10),
-                                       "quad_rel_tol"),
                 pole_policy=kblock.get("pole_policy", "report"))
         except ValueError as exc:
             raise ConfigError('bad "kernel": %s' % exc)
@@ -188,11 +186,8 @@ class RunConfig:
                        "eps": self.params.eps, "p": self.params.p},
             "grid": {"n": self.grid_n, "length": self.grid_length},
             "times": list(self.times),
-            "kernel": {
-                "C": self.kernel.C,
-                "quad_rel_tol": self.kernel.quad_rel_tol,
-                "pole_policy": self.kernel.pole_policy,
-            },
+            "kernel": {"C": self.kernel.C,
+                       "pole_policy": self.kernel.pole_policy},
             "output": {"basename": self.basename},
         }
         if self.prob_product is not None:

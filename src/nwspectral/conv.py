@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_L, DEFAULT_N, BranchError, KernelSpec,
-                   PhysicalParams, PoleError, SolverError, SpatialGrid,
-                   SpectralField, SpectralGrid, make_grids)
+from .core import (DEFAULT_L, DEFAULT_N, QUAD_REL_TOL, BranchError,
+                   KernelSpec, PhysicalParams, PoleError, SolverError,
+                   SpatialGrid, SpectralField, SpectralGrid, make_grids)
 from .kernels import erfc_pair, gauss_codomain, heat_kernel
 from .spectral import TransformPlan, _central_diff, circular_convolve_many
 
@@ -310,9 +310,9 @@ def large_p_limit(params, kernel=None, t=1.0):
     return np.asarray(sups)
 
 
-def _check_quadrature(err, result, rel_tol):
+def _check_quadrature(err, result):
     scale = float(np.max(np.abs(result))) if np.size(result) else 0.0
-    if err > 10.0 * max(1e-14, rel_tol * max(scale, 1.0)):
+    if err > 10.0 * max(1e-14, QUAD_REL_TOL * max(scale, 1.0)):
         raise SolverError("time quadrature did not converge (err %.3e)" % err)
 
 
@@ -358,10 +358,9 @@ def solve_forced(t, solution, forcing, initial=0.0):
     if t == 0.0:
         response = np.zeros(s.shape, dtype=complex)
     else:
-        response, err = quad_vec(integrand, 0.0, float(t),
-                                 epsabs=1e-14, epsrel=kernel.quad_rel_tol,
-                                 norm="max")
-        _check_quadrature(err, response, kernel.quad_rel_tol)
+        response, err = quad_vec(integrand, 0.0, float(t), epsabs=1e-14,
+                                 epsrel=QUAD_REL_TOL, norm="max")
+        _check_quadrature(err, response)
     homogeneous = _u_values(solution, s, t)
     return SpectralField(grid, float(t), homogeneous * (response + B))
 
@@ -369,13 +368,15 @@ def solve_forced(t, solution, forcing, initial=0.0):
 def solve_with_kernels(t, solution, extra=(), mode="product_K1"):
     """Solution with extra codomain kernel profiles folded into h.
 
-    product_K1 convolves the profiles into kappa = k1 conv ... conv kn and
-    uses kappa^(p-1) g^(p-1) inside the time integral, with kappa also
-    multiplying the solution. convolution_K2 multiplies the profiles
-    pointwise and raises the product to the n-th power inside the
-    integral. An empty profile list falls back to the plain solve.
+    h = C - eps (p-1) A t phi((p-1) beta t), the closed form of
+    C - eps (p-1) int_0^t A e^(-(p-1) beta tau) dtau. product_K1 convolves
+    the profiles into kappa = k1 conv ... conv kn, takes A = kappa^(p-1)
+    and multiplies the solution by kappa; convolution_K2 multiplies the
+    profiles pointwise and takes A as that product to the n-th power. An
+    empty profile list falls back to the plain solve. h is monotone in t
+    from h(0) = C, so under pole_policy "error" any frequency where h is 0
+    or has the opposite sign to C is at or past its pole and raises.
     """
-    from scipy.integrate import quad_vec
     if mode not in KERNEL_MODES:
         raise ValueError("mode must be one of %s" % (KERNEL_MODES,))
     if not t >= 0:
@@ -403,18 +404,11 @@ def solve_with_kernels(t, solution, extra=(), mode="product_K1"):
         for nxt in profiles[1:]:
             merged = merged * nxt
         amplitude = merged ** len(profiles)
-
-    def integrand(tau):
-        return amplitude * np.exp(-(p - 1.0) * beta * tau)
-
-    if t == 0.0:
-        integral = np.zeros(s.shape)
-    else:
-        integral, err = quad_vec(integrand, 0.0, float(t),
-                                 epsabs=1e-14, epsrel=kernel.quad_rel_tol,
-                                 norm="max")
-        _check_quadrature(err, integral, kernel.quad_rel_tol)
-    h = np.asarray(kernel.C_at(s), dtype=float) - params.eps * (p - 1.0) * integral
+    integral = amplitude * t * _phi((p - 1.0) * beta * t)
+    C = np.asarray(kernel.C_at(s), dtype=float)
+    h = C - params.eps * (p - 1.0) * integral
+    if kernel.pole_policy == "error" and np.any(h * np.sign(C) <= 0.0):
+        raise PoleError("t = %g is at or past a pole of h" % t)
     hp = _h_power(h, p, kernel.pole_policy)
     u = gauss_codomain(s, t, params.D) * np.exp(-params.b * t) * hp
     if mode == "product_K1":
@@ -431,6 +425,21 @@ def _check_fisher(params):
         raise ValueError("b must be positive")
 
 
+def _fisher_erfc(x, t, params, third_D, third_b, weight):
+    # G e^(-bt) + eps e^(-bt) pair(x,t; D,b)
+    #   - weight eps e^(-2bt) pair(x,t; third_D,third_b)
+    _check_fisher(params)
+    if not t > 0:
+        raise ValueError("t must be positive")
+    D, b, eps = params.D, params.b, params.eps
+    x = np.asarray(x, dtype=float)
+    decay = math.exp(-b * t)
+    linear = heat_kernel(x, t, D) * decay
+    second = eps * decay * erfc_pair(x, t, D, b)
+    third = weight * eps * decay * decay * erfc_pair(x, t, third_D, third_b)
+    return linear + second - third
+
+
 def fisher_erfc_approx(x, t, params):
     """Small-eps closed form for p = 2 built from four erfc terms:
 
@@ -445,16 +454,7 @@ def fisher_erfc_approx(x, t, params):
     puts it 1.0605e-4 off the inverse DFT at eps = 0.01, t = 0.5 on the
     4096/80 grid. fisher_erfc_transform_consistent is the exact pair.
     """
-    _check_fisher(params)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    D, b, eps = params.D, params.b, params.eps
-    x = np.asarray(x, dtype=float)
-    decay = math.exp(-b * t)
-    linear = heat_kernel(x, t, D) * decay
-    second = eps * decay * erfc_pair(x, t, D, b)
-    third = eps * decay * decay * erfc_pair(x, t, 2.0 * D, b)
-    return linear + second - third
+    return _fisher_erfc(x, t, params, 2.0 * params.D, params.b, 1.0)
 
 
 def fisher_erfc_transform_consistent(x, t, params):
@@ -466,16 +466,7 @@ def fisher_erfc_transform_consistent(x, t, params):
     fisher_codomain_expansion to round-off; the printed form differs in
     this term only.
     """
-    _check_fisher(params)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    D, b, eps = params.D, params.b, params.eps
-    x = np.asarray(x, dtype=float)
-    decay = math.exp(-b * t)
-    linear = heat_kernel(x, t, D) * decay
-    second = eps * decay * erfc_pair(x, t, D, b)
-    third = 2.0 * eps * decay * decay * erfc_pair(x, t, 2.0 * D, 2.0 * b)
-    return linear + second - third
+    return _fisher_erfc(x, t, params, 2.0 * params.D, 2.0 * params.b, 2.0)
 
 
 def fisher_codomain_expansion(s, t, params):

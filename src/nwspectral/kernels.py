@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .spectral import circular_convolve
+from .spectral import circular_convolve_many
 
 def heat_kernel(x, t, D):
     """G(x,t) = e^(-x^2/(4Dt)) / sqrt(4 pi D t), the impulse solution of
@@ -42,15 +42,6 @@ def rooted_codomain(s, t, D, n):
     return pref * np.exp(-D * (2.0 * math.pi * s) ** 2 * n * t)
 
 
-def selfconv_discrete(values, count, ds):
-    """count-fold application of the ds-scaled circular convolution to a
-    sampled codomain profile; count = 0 returns the profile itself."""
-    out = np.asarray(values)
-    for _ in range(count):
-        out = circular_convolve(out, values, ds)
-    return out
-
-
 def iterated_gauss_selfconv(s, t, D, i, source, grid=None):
     """Value of the i-th self-convolution of g(s,t) over frequency.
 
@@ -75,7 +66,7 @@ def iterated_gauss_selfconv(s, t, D, i, source, grid=None):
             grid = SpectralGrid(DEFAULT_N, DEFAULT_L)
         freqs = grid.frequencies
         g = gauss_codomain(freqs, t, D)
-        conv = selfconv_discrete(g, i, grid.ds)
+        conv = circular_convolve_many([g] * (i + 1), grid.ds)
         if np.ndim(s) == 0:
             return float(np.interp(s, freqs, conv))
         return np.interp(np.asarray(s, dtype=float), freqs, conv)

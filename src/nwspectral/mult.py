@@ -20,9 +20,10 @@ import numpy as np
 from scipy.integrate import quad, quad_vec
 from scipy.special import hyp1f1
 
-from .core import (DEFAULT_L, DEFAULT_N, KernelSpec, PhysicalParams,
-                   PoleError, SolverError, SpectralField, make_grids)
-from .conv import _check_quadrature, _h_power
+from .core import (DEFAULT_L, DEFAULT_N, QUAD_REL_TOL, KernelSpec,
+                   PhysicalParams, PoleError, SolverError, SpectralField,
+                   make_grids)
+from .conv import _check_quadrature, _h_power, _phi
 from .kernels import (gauss_codomain, heat_kernel, iterated_gauss_selfconv,
                       rooted_codomain)
 from .spectral import _central_diff_time, circular_convolve_many, default_plan
@@ -142,7 +143,7 @@ def h_mult_quadrature(s, t, plan):
     coef = eps (1-p) sqrt(p+1) (4 pi D)^(-p/(2p+2)) and I the time integral
     of e^(p D (2 pi s)^2 tau + (1-p^2) b tau) tau^(-p^2/(2(p+1))), taken
     in closed form (see _mult_integral), so every frequency is accurate
-    on its own and quad_rel_tol plays no part.
+    on its own, with no quadrature tolerance involved.
 
     Frequencies where the integrand exponent overflows are flagged and
     return signed infinity; the solution factor h^(1/(1-p)) carries them
@@ -169,25 +170,24 @@ def h_mult_quadrature(s, t, plan):
 
 QuadCertificate = namedtuple("QuadCertificate",
                              ["value", "error", "refined_value",
-                              "observed_change", "rel_tol", "lower_cutoff"])
+                              "observed_change"])
 
 
 def h_mult_certificate(s, t, plan):
     """Scalar-quadrature certificate for h at one (s, t).
 
     Integrates numerically, independently of the closed form that
-    h_mult_quadrature uses, at the working tolerance and again at half of
-    it; the certificate is honest when the observed change stays within
-    the scaled error estimate of the coarser run.
+    h_mult_quadrature uses, at QUAD_REL_TOL and again at half of it; the
+    certificate is honest when the observed change stays within the
+    scaled error estimate of the coarser run.
     """
     if not t > 0:
         raise ValueError("t must be positive")
     s = float(s)
     C = float(np.asarray(plan.kernel.C_at(s), dtype=float))
     pref = _mult_prefactor(t, plan)
-    tol = plan.kernel.quad_rel_tol
     if plan.params.eps == 0.0:
-        return QuadCertificate(C * pref, 0.0, C * pref, 0.0, tol, 0.0)
+        return QuadCertificate(C * pref, 0.0, C * pref, 0.0)
     a = float(_growth_rate(np.asarray([s]), plan)[0])
     if a * t > _EXP_LIMIT:
         raise SolverError("frequency is overflow-flagged; no finite h value")
@@ -205,11 +205,13 @@ def h_mult_certificate(s, t, plan):
 
     coef = _mult_coefficient(plan)
     scale = abs(pref * coef)
-    v1, e1 = quad(fn, lower, upper, epsabs=1e-14, epsrel=tol, limit=200)
-    v2, _ = quad(fn, lower, upper, epsabs=1e-14, epsrel=0.5 * tol, limit=200)
+    v1, e1 = quad(fn, lower, upper, epsabs=1e-14, epsrel=QUAD_REL_TOL,
+                  limit=200)
+    v2, _ = quad(fn, lower, upper, epsabs=1e-14, epsrel=0.5 * QUAD_REL_TOL,
+                 limit=200)
     h1 = pref * (coef * v1 + C)
     h2 = pref * (coef * v2 + C)
-    return QuadCertificate(h1, e1 * scale, h2, abs(h1 - h2), tol, lower)
+    return QuadCertificate(h1, e1 * scale, h2, abs(h1 - h2))
 
 
 def _corollary_integrand(s, tau, plan, source, grid):
@@ -266,7 +268,6 @@ def h_mult_corollary(s, t, plan, source="paper_formula", grid=None):
     # tau^(1/2 - (p-1)), the oracle's continuum scale tau^(-(p-2)/2)
     expo = 0.5 - (params.p - 1.0) if source == "paper_formula" \
         else -(params.p - 2.0) / 2.0
-    tol = plan.kernel.quad_rel_tol
     lower, upper, alpha = _endpoint_rule(expo, t, plan.t_min)
     if alpha is None:
         def fn(tau):
@@ -279,9 +280,9 @@ def h_mult_corollary(s, t, plan, source="paper_formula", grid=None):
                     * _corollary_integrand(s_arr, tau, plan, source, grid)
                     * math.exp(-params.b * tau))
 
-    val, err = quad_vec(fn, lower, upper, epsabs=1e-14, epsrel=tol,
+    val, err = quad_vec(fn, lower, upper, epsabs=1e-14, epsrel=QUAD_REL_TOL,
                         norm="max")
-    _check_quadrature(err, val, tol)
+    _check_quadrature(err, val)
     out = params.eps * (1.0 - params.p) * math.exp(params.b * t) * val
     return float(out[0]) if scalar else out
 
@@ -386,7 +387,8 @@ def fisher_quadratic(t, plan, prob_product=1.0, grid=None):
     """u(s,t) = g e^(-eps int_0^t P g d tau) for p = 2.
 
     h = exp(+eps int ...) and u = g h^(-1); every frequency matches the
-    scalar integration of u' = -D (2 pi s)^2 u - eps P g u.
+    scalar integration of u' = -D (2 pi s)^2 u - eps P g u. The integral
+    is P t phi(D (2 pi s)^2 t) in closed form, phi(z) = (1 - e^(-z))/z.
     """
     if plan.params.p != 2:
         raise ValueError("p must be 2")
@@ -397,13 +399,6 @@ def fisher_quadratic(t, plan, prob_product=1.0, grid=None):
     grid = make_grids(DEFAULT_N, DEFAULT_L)[1] if grid is None else grid
     s = grid.frequencies
     D, eps = plan.params.D, plan.params.eps
-
-    def chain(tau):
-        return prob_product * gauss_codomain(s, tau, D)
-
-    tol = plan.kernel.quad_rel_tol
-    integral, err = quad_vec(chain, 0.0, float(t),
-                             epsabs=1e-14, epsrel=tol, norm="max")
-    _check_quadrature(err, integral, tol)
+    integral = prob_product * t * _phi(D * (2.0 * np.pi * s) ** 2 * t)
     u = gauss_codomain(s, t, D) * np.exp(-eps * integral)
     return SpectralField(grid, float(t), u)

@@ -72,6 +72,13 @@ class TestConfigParsing:
                      str(tmp_path / "out")]) == 1
         assert "factor_count_convention" in capsys.readouterr().err
 
+    def test_quad_rel_tol_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = _base_config(kernel={"C": 1.0, "quad_rel_tol": 1e-10})
+        path = _write(tmp_path, "c.json", cfg)
+        assert main(["solve", "--config", path, "--out-dir",
+                     str(tmp_path / "out")]) == 1
+        assert 'unknown key "quad_rel_tol"' in capsys.readouterr().err
+
     def test_missing_required_key_is_named(self):
         cfg = _base_config()
         del cfg["params"]

@@ -422,6 +422,57 @@ class TestKernelModes:
             solve_with_kernels(0.4, sol, extra=(self._gauss_profile,),
                                mode="K3")
 
+    @pytest.mark.parametrize("mode", ["product_K1", "convolution_K2"])
+    def test_h_matches_per_frequency_quadrature(self, plan, mode):
+        # h recovered from the field against C - eps (p-1) int A e^(-k tau)
+        # by scalar quadrature; D = 0.05 keeps g(1.5, 50) a normal double.
+        # At t = 0, h is C exactly, so the field is the plain solve's.
+        from scipy.integrate import quad
+        s = plan.spectral.frequencies
+        kappa = 1.0 / (1.0 + s * s)
+        for p in (2, 3):
+            for b in (0.0, 1.0):
+                params = PhysicalParams(0.05, b, -0.3, p)
+                sol = ConvSolution(params, kernel=KernelSpec(C=2.0),
+                                   grid=plan.spectral)
+                amp = kappa ** (p - 1) if mode == "product_K1" else kappa
+                at_zero = sol.u_field(0.0).values
+                if mode == "product_K1":
+                    at_zero = at_zero * kappa
+                assert np.array_equal(solve_with_kernels(
+                    0.0, sol, extra=(kappa,), mode=mode).values, at_zero)
+                for t in (0.4, 50.0):
+                    field = solve_with_kernels(t, sol, extra=(kappa,),
+                                               mode=mode)
+                    for target in (0.0, 0.5, 1.5):
+                        k = int(np.argmin(np.abs(s - target)))
+                        scale = gauss_codomain(s[k], t, 0.05) \
+                            * math.exp(-b * t)
+                        if mode == "product_K1":
+                            scale = scale * kappa[k]
+                        h = (field.values[k].real / scale) ** (1.0 - p)
+                        rate = (p - 1.0) * beta_of(s[k], params)
+                        integral = quad(lambda tau: math.exp(-rate * tau),
+                                        0.0, t, epsabs=0.0, epsrel=1e-13,
+                                        limit=200)[0]
+                        want = 2.0 + 0.3 * (p - 1.0) * amp[k] * integral
+                        assert abs(h - want) <= 1e-13 * abs(want), \
+                            (p, b, t, target)
+
+    @pytest.mark.parametrize("mode", ["product_K1", "convolution_K2"])
+    def test_error_policy_raises_past_the_pole(self, plan, mode):
+        # the root of h at s = 0 is t0 = ln 2, as for the plain solve
+        sol = ConvSolution(PhysicalParams(1.0, 1.0, 2.0, 2),
+                           kernel=KernelSpec(pole_policy="error"),
+                           grid=plan.spectral)
+        unit = np.ones(plan.n)
+        with pytest.raises(PoleError):
+            sol.u_field(1.0)
+        with pytest.raises(PoleError):
+            solve_with_kernels(1.0, sol, extra=(unit,), mode=mode)
+        before = solve_with_kernels(0.5, sol, extra=(unit,), mode=mode)
+        assert np.all(np.isfinite(before.values))
+
 
 class TestScalarExample:
     def test_codomain_value_at_origin(self):

@@ -40,7 +40,6 @@ _INVALID = {
     "n": ("grid", "n", [8, 100, 256.0]),
     "length": ("grid", "length", [0.0, -20.0]),
     "C": ("kernel", "C", ["x", None]),
-    "quad_rel_tol": ("kernel", "quad_rel_tol", [0.0, -1e-10]),
     "pole_policy": ("kernel", "pole_policy", ["bogus", 1]),
 }
 
@@ -70,7 +69,6 @@ def solve_configs(draw):
                  "length": draw(st.sampled_from([5.0, 20.0, 80.0]))},
         "times": draw(st.lists(_time, min_size=1, max_size=3)),
         "kernel": {"C": draw(st.sampled_from([1.0, 0.5, 2.0, -1.0])),
-                   "quad_rel_tol": draw(st.sampled_from([1e-10, 1e-6])),
                    "pole_policy": draw(st.sampled_from(["report", "clamp",
                                                         "error"]))},
         "output": {"basename": "u"},

@@ -258,21 +258,25 @@ class TestFisherForms:
     def test_quadratic_form_matches_per_frequency_ode(self, plan):
         from scipy.integrate import solve_ivp
         params = PhysicalParams(1.0, 1.0, 0.3, 2)
-        field = fisher_quadratic(1.0, MultSolverPlan(params),
-                                 prob_product=0.25, grid=plan.spectral)
 
         def rhs(t, y, s):
             g = gauss_codomain(s, t, 1.0)
             return [-(2.0 * math.pi * s) ** 2 * y[0]
                     - 0.3 * 0.25 * g * y[0]]
 
-        for target in (0.0, 0.2, 0.5):
-            idx = int(np.argmin(np.abs(plan.spectral.frequencies - target)))
-            s0 = float(plan.spectral.frequencies[idx])
-            ode = solve_ivp(rhs, (0.0, 1.0), [1.0], args=(s0,), rtol=1e-12,
-                            atol=1e-14)
-            assert float(field.values[idx].real) == pytest.approx(
-                ode.y[0, -1], rel=1e-9)
+        # atol far below the field keeps u(0.2, 100) = 2.5e-69 a relative
+        # comparison rather than one against the solver's absolute floor
+        for t_end in (1.0, 0.01, 100.0):
+            field = fisher_quadratic(t_end, MultSolverPlan(params),
+                                     prob_product=0.25, grid=plan.spectral)
+            for target in (0.0, 0.2, 0.5):
+                idx = int(np.argmin(np.abs(plan.spectral.frequencies
+                                           - target)))
+                s0 = float(plan.spectral.frequencies[idx])
+                ode = solve_ivp(rhs, (0.0, t_end), [1.0], args=(s0,),
+                                method="DOP853", rtol=1e-12, atol=1e-300)
+                assert float(field.values[idx].real) == pytest.approx(
+                    ode.y[0, -1], rel=1e-9), (t_end, target)
 
     def test_quadratic_requires_p_two(self):
         with pytest.raises(ValueError):
