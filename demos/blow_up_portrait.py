@@ -39,10 +39,10 @@ except BlowUpError as exc:
 
 # portrait: the field flattens its decay and rears up near t0
 plan = default_plan()
-solution = ConvSolution(params, grid=plan.spectral)
+solution = ConvSolution(params, grid=plan)
 times = (0.30, 0.50, 0.60, 0.65, 0.680)
-x = plan.spatial.points
-series = [np.real(solve_physical(t, solution, plan)) for t in times]
+x = plan.points
+series = [np.real(solve_physical(t, solution)) for t in times]
 labels = ["t = %.3f" % t for t in times]
 svg = line_plot(x, series, labels=labels,
                 title="approach to the t0 = ln 2 pole",

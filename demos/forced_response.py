@@ -15,15 +15,13 @@ import numpy as np
 
 from nwspectral import ConvSolution, OracleRun, PhysicalParams, step_etd
 from nwspectral.conv import solve_forced
-from nwspectral.core import make_grids
 from nwspectral.oracle import stability_bound
 from nwspectral.spectral import TransformPlan
 from nwspectral.svgplot import line_plot
 
-spatial, spectral = make_grids(256, 40.0)
-plan = TransformPlan(spatial, spectral)
+plan = TransformPlan(256, 40.0)
 params = PhysicalParams(D=1.0, b=1.0, eps=0.1, p=2)
-solution = ConvSolution(params, grid=spectral)
+solution = ConvSolution(params, grid=plan)
 
 
 def forcing(s, tau):
@@ -35,8 +33,7 @@ def forcing(s, tau):
 
 # closed-form forced field at three stages of the pulse
 stages = (0.05, 0.15, 0.40)
-fields = [solve_forced(t, solution, forcing, initial=1.0).values
-          for t in stages]
+fields = [solve_forced(t, solution, forcing, initial=1.0) for t in stages]
 
 # independent check: march the forced PDE from the t = 0.05 state
 # the step count is set by accuracy, far below the stability bound: the
@@ -55,7 +52,7 @@ print("rel L2 vs oracle   : %.3e" % rel)
 series = [np.real(plan.inverse(f)) for f in fields]
 labels = ["t = %.2f (%s)" % (t, tag) for t, tag in
           zip(stages, ("pulse starting", "mid pulse", "after pulse"))]
-svg = line_plot(plan.spatial.points, series, labels=labels,
+svg = line_plot(plan.points, series, labels=labels,
                 title="forced response of the convolutional model",
                 xlabel="x", ylabel="u")
 out = os.path.join(os.path.dirname(__file__) or ".", "forced_response.svg")

@@ -13,25 +13,23 @@ import math
 import numpy as np
 
 from nwspectral import ConvSolution, OracleRun, PhysicalParams, step_etd
-from nwspectral.core import make_grids
 from nwspectral.oracle import stability_bound
 from nwspectral.spectral import TransformPlan
 
-spatial, spectral = make_grids(256, 40.0)
-plan = TransformPlan(spatial, spectral)
+plan = TransformPlan(256, 40.0)
 
 # run toward (but short of) the eps = 2 pole so the nonlinear term is
 # doing real work and the error sits far above the round-off floor
 params = PhysicalParams(D=1.0, b=1.0, eps=2.0, p=2)
 t_end = 0.65
-solution = ConvSolution(params, grid=spectral)
-exact = solution.u_field(t_end).values
+solution = ConvSolution(params, grid=plan)
+exact = solution.u_field(t_end)
 
 # the integrating factor takes the stiff linear part exactly, so only the
 # nonlinear stage bounds dt; the base step count is chosen by accuracy,
 # inside the asymptotic regime where each halving gains a factor 16
 span = t_end - 0.05
-start = solution.u_field(0.05).values
+start = solution.u_field(0.05)
 base = 123
 print("stability bound dt : %.3e" % stability_bound(params, plan, start))
 print("base step dt       : %.3e" % (span / base))

@@ -1,7 +1,8 @@
 """Spectral-codomain solvers for generalized reaction-diffusion equations.
 
 The package carries two closed-form solution families (convolutional and
-multiplicative nonlinearities), the transform plumbing they live on, an
+multiplicative nonlinearities), the grid and transform they live on (one
+TransformPlan per (n, L); codomain samples are plain arrays), an
 independent time-stepping oracle, and verification suites that measure
 every claim against an explicit tolerance.
 
@@ -16,8 +17,7 @@ __version__ = "0.1.0"
 # Every exported name, by the submodule that defines it.
 _EXPORTS = {
     "core": ("BranchError", "KernelSpec", "PhysicalParams", "PoleError",
-             "SUITES", "SolverError", "SpatialGrid", "SpectralField",
-             "SpectralGrid", "make_grids"),
+             "SUITES", "SolverError"),
     "spectral": ("TransformPlan", "circular_convolve",
                  "circular_convolve_many", "conv_theorem_residual",
                  "default_plan", "derivative_distribution_residual",

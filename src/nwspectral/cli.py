@@ -16,9 +16,8 @@ import numpy as np
 
 from . import __version__
 from . import conv as _conv
-from .core import (BAND_LIMIT_FLOOR, SUITES, KernelSpec, PhysicalParams,
-                   SolverError, make_grids)
-from .spectral import TransformPlan
+from .core import SUITES, KernelSpec, PhysicalParams, SolverError
+from .spectral import BAND_LIMIT_FLOOR, TransformPlan
 
 
 class ConfigError(Exception):
@@ -128,7 +127,7 @@ class RunConfig:
         grid_n = _as_int(gblock.get("n", 256), "n")
         grid_length = _as_float(gblock.get("length", 20.0), "length")
         try:
-            make_grids(grid_n, grid_length)
+            TransformPlan(grid_n, grid_length)
         except ValueError as exc:
             raise ConfigError('bad "grid": %s' % exc)
 
@@ -244,8 +243,8 @@ def _conv_residual(solution, freqs, t):
 
 def _solve_fields(config, plan):
     """Per-time spatial samples plus equation-specific metadata."""
-    x = plan.spatial.points
-    freqs = plan.spectral.frequencies
+    x = plan.points
+    freqs = plan.frequencies
     params = config.params
     meta = {}
     columns = []
@@ -253,16 +252,16 @@ def _solve_fields(config, plan):
 
     if config.equation == "conv":
         solution = _conv.ConvSolution(params, kernel=config.kernel,
-                                      grid=plan.spectral)
+                                      grid=plan)
         t_root, regime = _conv.earliest_root(params, config.kernel, freqs)
         meta["root_locus"] = {"regime": regime, "t0": t_root}
         residuals = {}
         margins = {}
         for t in config.times:
             field = solution.u_field(t)
-            margins[_fmt17(t)] = plan.spectral.band_limit_margin(params.D, t)
+            margins[_fmt17(t)] = plan.band_limit_margin(params.D, t)
             if (t_root is None or t < t_root) \
-                    and np.all(np.isfinite(field.values)):
+                    and np.all(np.isfinite(field)):
                 columns.append(plan.inverse(field))
                 residuals[_fmt17(t)] = _conv_residual(solution, freqs, t)
             else:
@@ -282,9 +281,9 @@ def _solve_fields(config, plan):
         residuals = {}
         gaps = {}
         for t in config.times:
-            field, flagged = _mult.mult_codomain(t, mplan, plan.spectral)
+            field, flagged = _mult.mult_codomain(t, mplan, plan)
             overflow[_fmt17(t)] = int(np.count_nonzero(flagged))
-            if np.all(np.isfinite(field.values)):
+            if np.all(np.isfinite(field)):
                 columns.append(plan.inverse(field))
                 # the scalar quadrature cross-checks the closed-form h
                 cert = _mult.h_mult_certificate(0.0, t, mplan)
@@ -331,8 +330,7 @@ def _solve_fields(config, plan):
 def cmd_solve(config_path, out_dir, svg):
     config = RunConfig.from_dict(load_json(config_path))
     os.makedirs(out_dir, exist_ok=True)
-    spatial, spectral = make_grids(config.grid_n, config.grid_length)
-    plan = TransformPlan(spatial, spectral)
+    plan = TransformPlan(config.grid_n, config.grid_length)
 
     x, columns, meta = _solve_fields(config, plan)
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_L, DEFAULT_N, QUAD_REL_TOL, BranchError,
-                   KernelSpec, PhysicalParams, PoleError, SolverError,
-                   SpatialGrid, SpectralField, SpectralGrid, make_grids)
+from .core import (QUAD_REL_TOL, BranchError, KernelSpec, PhysicalParams,
+                   PoleError, SolverError)
 from .kernels import erfc_pair, gauss_codomain, heat_kernel
-from .spectral import TransformPlan, _central_diff, circular_convolve_many
+from .spectral import (TransformPlan, _central_diff, circular_convolve_many,
+                       default_plan)
 
 REGIMES = ("no_root", "root_at", "asymptotic_infinity")
 KERNEL_MODES = ("product_K1", "convolution_K2")
@@ -48,7 +48,7 @@ def _phi(z):
     return out
 
 
-def h_specific(s, t, params, kernel=None):
+def h_specific(s, t, params, kernel=KernelSpec()):
     """h(s,t) = C(s) - eps (1 - e^(-(p-1)(b + D(2 pi s)^2) t))/(b + D(2 pi s)^2).
 
     Written as C - eps (p-1) t phi((p-1) beta t) so the b = 0, s = 0 point
@@ -56,7 +56,6 @@ def h_specific(s, t, params, kernel=None):
     integrating factor e^((p-1)bt) is deliberately excluded; it re-enters
     through the e^(-bt) factor of u.
     """
-    kernel = KernelSpec() if kernel is None else kernel
     s = np.asarray(s, dtype=float)
     C = kernel.C_at(s)
     if params.eps == 0.0:
@@ -120,20 +119,14 @@ class ConvSolution:
     """Bundle of coefficients, integration-constant profile, and grid.
 
     Point accessors h_spec/u evaluate at arbitrary (s, t); u_field
-    samples the grid frequencies and wraps a SpectralField.
+    samples them at the grid frequencies.
     h_spec(s, 0) = C(s) exactly, and with eps = 0 the solution collapses
     to g e^(-bt) with no quadrature involved.
     """
 
     params: PhysicalParams
-    kernel: KernelSpec = None
-    grid: SpectralGrid = None
-
-    def __post_init__(self):
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", KernelSpec())
-        if self.grid is None:
-            object.__setattr__(self, "grid", make_grids(DEFAULT_N, DEFAULT_L)[1])
+    kernel: KernelSpec = KernelSpec()
+    grid: TransformPlan = default_plan()
 
     def h_spec(self, s, t):
         return h_specific(s, t, self.params, self.kernel)
@@ -142,24 +135,22 @@ class ConvSolution:
         return _u_values(self, np.asarray(s, dtype=float), t)
 
     def u_field(self, t):
-        vals = self.u(self.grid.frequencies, t)
-        return SpectralField(self.grid, float(t), vals)
+        return self.u(self.grid.frequencies, t)
 
 
-def _u_values(solution, s, t, policy=None):
+def _u_values(solution, s, t):
     params, kernel = solution.params, solution.kernel
-    policy = kernel.pole_policy if policy is None else policy
-    if policy == "error":
+    if kernel.pole_policy == "error":
         t0 = earliest_root(params, kernel, s)[0]
         if t0 is not None and t >= t0:
             raise PoleError("t = %g is at or past the earliest pole t0 = %g"
                             % (t, t0))
     h = h_specific(s, t, params, kernel)
-    hp = _h_power(h, params.p, policy)
+    hp = _h_power(h, params.p, kernel.pole_policy)
     return gauss_codomain(s, t, params.D) * np.exp(-params.b * t) * hp
 
 
-def solve_physical(t, solution, plan=None):
+def solve_physical(t, solution):
     """Spatial samples of u(., t), the inverse transform of u_field.
 
     Requires t > 0 (the t = 0 state is distributional for C = 1) and a grid
@@ -168,18 +159,14 @@ def solve_physical(t, solution, plan=None):
     if not t > 0:
         raise ValueError("t must be positive")
     grid = solution.grid
-    if plan is None:
-        plan = TransformPlan(SpatialGrid(grid.n_points, grid.length), grid)
-    elif plan.spectral != grid:
-        raise ValueError("plan grid must match the solution grid")
     if not grid.band_limit_ok(solution.params.D, t):
         raise SolverError(
             "grid cannot band-limit the solution at t = %g (margin %.3e)"
             % (t, grid.band_limit_margin(solution.params.D, t)))
     field = solution.u_field(t)
-    if not np.all(np.isfinite(field.values)):
+    if not np.all(np.isfinite(field)):
         raise PoleError("codomain field is singular at t = %g" % t)
-    return plan.inverse(field)
+    return grid.inverse(field)
 
 
 def _time_derivative(solution, fn, s, t, dt):
@@ -233,9 +220,10 @@ class RootReport:
     difference: object
 
 
-def _bisect_h_root(params, kernel, s, t_max, n_scan=4096, iters=200):
-    ts = np.linspace(0.0, t_max, n_scan + 1)
-    hs = np.asarray(h_specific(s, ts, params, kernel))
+def _bisect_h_root(params, t_max):
+    # h at s = 0 with C = 1: a 4097-point scan, then bisection
+    ts = np.linspace(0.0, t_max, 4097)
+    hs = np.asarray(h_specific(0.0, ts, params))
     if hs[0] == 0.0:
         return 0.0
     sign0 = np.sign(hs[0])
@@ -249,9 +237,9 @@ def _bisect_h_root(params, kernel, s, t_max, n_scan=4096, iters=200):
     flo = float(hs[k - 1])
     if flo == 0.0:
         return lo
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = float(h_specific(s, mid, params, kernel))
+        fm = float(h_specific(0.0, mid, params))
         if fm == 0.0:
             return mid
         if flo * fm < 0.0:
@@ -263,22 +251,19 @@ def _bisect_h_root(params, kernel, s, t_max, n_scan=4096, iters=200):
     return 0.5 * (lo + hi)
 
 
-def root_locus(params, kernel=None, s=0.0, t_max=None):
-    """Locate the first zero of h(s, .) by formula and verify by bisection.
+def root_locus(params):
+    """Locate the first zero of h(0, .) with C = 1 by formula and verify
+    it by bisection.
 
-    The formula value is t0 = log(eps/(eps - C beta))/((p-1) beta), or
-    C/(eps (p-1)) at beta = 0 (b = 0, s = 0); the report classifies the
-    regime as no_root, root_at, or asymptotic_infinity (eps = C beta
-    exactly).
+    At s = 0, beta = b; the formula value is
+    t0 = log(eps/(eps - b))/((p-1) b), or 1/(eps (p-1)) at b = 0; the
+    report classifies the regime as no_root, root_at, or
+    asymptotic_infinity (eps = b exactly).
     """
-    kernel = KernelSpec() if kernel is None else kernel
-    C = float(np.asarray(kernel.C_at(float(s)), dtype=float))
-    beta = beta_of(float(s), params)
-    t0, regime = root_time(C, beta, params.eps, params.p)
+    t0, regime = root_time(1.0, beta_of(0.0, params), params.eps, params.p)
     t0 = None if math.isnan(t0) else t0
-    if t_max is None:
-        t_max = 50.0 if t0 is None else max(50.0, 4.0 * t0)
-    t0_bis = _bisect_h_root(params, kernel, float(s), t_max)
+    t_max = 50.0 if t0 is None else max(50.0, 4.0 * t0)
+    t0_bis = _bisect_h_root(params, t_max)
     diff = None
     if t0 is not None and t0_bis is not None:
         diff = abs(t0 - t0_bis)
@@ -286,26 +271,23 @@ def root_locus(params, kernel=None, s=0.0, t_max=None):
                       difference=diff)
 
 
-def large_p_limit(params, kernel=None, t=1.0):
-    """sup_s |h^(-1/(p-1)) - 1| on the default grid along the doubling
-    sweep p = 2, 4, ..., 128.
+def large_p_limit(params, t=1.0):
+    """sup_s |h^(-1/(p-1)) - 1| with C = 1 on the default grid along the
+    doubling sweep p = 2, 4, ..., 128.
 
     Any constant to the power 0 is unity, so the sequence decreases to 0.
-    Requires C identically 1 and |eps| <= 1; the p carried by params is
-    ignored in favor of the sweep.
+    Requires |eps| <= 1; the p carried by params is ignored in favor of
+    the sweep.
     """
-    kernel = KernelSpec() if kernel is None else kernel
     if not t > 0:
         raise ValueError("t must be positive")
     if abs(params.eps) > 1.0:
         raise ValueError("|eps| must be <= 1")
-    s = make_grids(DEFAULT_N, DEFAULT_L)[1].frequencies
-    if np.any(np.asarray(kernel.C_at(s)) != 1.0):
-        raise ValueError("C must be the constant 1")
+    s = default_plan().frequencies
     sups = []
     for q in (2, 4, 8, 16, 32, 64, 128):
         pq = PhysicalParams(params.D, params.b, params.eps, q)
-        h = h_specific(s, t, pq, kernel)
+        h = h_specific(s, t, pq)
         sups.append(float(np.abs(_h_power(h, q) - 1.0).max()))
     return np.asarray(sups)
 
@@ -361,8 +343,7 @@ def solve_forced(t, solution, forcing, initial=0.0):
         response, err = quad_vec(integrand, 0.0, float(t), epsabs=1e-14,
                                  epsrel=QUAD_REL_TOL, norm="max")
         _check_quadrature(err, response)
-    homogeneous = _u_values(solution, s, t)
-    return SpectralField(grid, float(t), homogeneous * (response + B))
+    return _u_values(solution, s, t) * (response + B)
 
 
 def solve_with_kernels(t, solution, extra=(), mode="product_K1"):
@@ -411,9 +392,7 @@ def solve_with_kernels(t, solution, extra=(), mode="product_K1"):
         raise PoleError("t = %g is at or past a pole of h" % t)
     hp = _h_power(h, p, kernel.pole_policy)
     u = gauss_codomain(s, t, params.D) * np.exp(-params.b * t) * hp
-    if mode == "product_K1":
-        u = u * kappa
-    return SpectralField(grid, float(t), u)
+    return u * kappa if mode == "product_K1" else u
 
 
 def _check_fisher(params):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .spectral import circular_convolve_many
+from .spectral import circular_convolve_many, default_plan
 
 def heat_kernel(x, t, D):
     """G(x,t) = e^(-x^2/(4Dt)) / sqrt(4 pi D t), the impulse solution of
@@ -42,7 +42,7 @@ def rooted_codomain(s, t, D, n):
     return pref * np.exp(-D * (2.0 * math.pi * s) ** 2 * n * t)
 
 
-def iterated_gauss_selfconv(s, t, D, i, source, grid=None):
+def iterated_gauss_selfconv(s, t, D, i, source, grid=default_plan()):
     """Value of the i-th self-convolution of g(s,t) over frequency.
 
     source "paper_formula" evaluates the stated closed form
@@ -61,9 +61,6 @@ def iterated_gauss_selfconv(s, t, D, i, source, grid=None):
         return (math.sqrt(c) / (c ** (i + 1) * math.sqrt(i + 1.0))
                 * np.exp(-(2.0 * math.pi * s) ** 2 * D * t / (i + 1.0)))
     if source == "discrete_oracle":
-        if grid is None:
-            from .core import SpectralGrid, DEFAULT_N, DEFAULT_L
-            grid = SpectralGrid(DEFAULT_N, DEFAULT_L)
         freqs = grid.frequencies
         g = gauss_codomain(freqs, t, D)
         conv = circular_convolve_many([g] * (i + 1), grid.ds)

@@ -20,9 +20,8 @@ import numpy as np
 from scipy.integrate import quad, quad_vec
 from scipy.special import hyp1f1
 
-from .core import (DEFAULT_L, DEFAULT_N, QUAD_REL_TOL, KernelSpec,
-                   PhysicalParams, PoleError, SolverError, SpectralField,
-                   make_grids)
+from .core import (QUAD_REL_TOL, KernelSpec, PhysicalParams, PoleError,
+                   SolverError)
 from .conv import _check_quadrature, _h_power, _phi
 from .kernels import (gauss_codomain, heat_kernel, iterated_gauss_selfconv,
                       rooted_codomain)
@@ -53,12 +52,10 @@ class MultSolverPlan:
     """
 
     params: PhysicalParams
-    kernel: KernelSpec = None
+    kernel: KernelSpec = KernelSpec()
     t_min: float = T_MIN
 
     def __post_init__(self):
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", KernelSpec())
         if not (isinstance(self.t_min, (int, float)) and self.t_min > 0):
             raise ValueError("t_min must be positive")
 
@@ -230,7 +227,8 @@ def _corollary_integrand(s, tau, plan, source, grid):
     raise ValueError("source must be one of %s" % (INTEGRAND_SOURCES,))
 
 
-def corollary_integrand(s, tau, plan, source="paper_formula", grid=None):
+def corollary_integrand(s, tau, plan, source="paper_formula",
+                        grid=default_plan()):
     """The iterated-self-convolution integrand of the alternative h at
     (s, tau), from either source. At fixed tau the two sources differ by
     an s-independent prefactor; that discrepancy is the measured output
@@ -243,7 +241,8 @@ def corollary_integrand(s, tau, plan, source="paper_formula", grid=None):
                                 source, grid)
 
 
-def h_mult_corollary(s, t, plan, source="paper_formula", grid=None):
+def h_mult_corollary(s, t, plan, source="paper_formula",
+                     grid=default_plan()):
     """h from the alternative derivation:
 
     eps (1-p) e^(bt) int [sqrt(4 pi D tau) e^(-(2 pi s)^2 D tau/(p-1))
@@ -287,30 +286,28 @@ def h_mult_corollary(s, t, plan, source="paper_formula", grid=None):
     return float(out[0]) if scalar else out
 
 
-def mult_codomain(t, plan, grid=None):
-    """(SpectralField, flagged mask) of u(s,t) = g'(s,t) h(s,t)^(1/(1-p)).
+def mult_codomain(t, plan, grid=default_plan()):
+    """(u samples, flagged mask) of u(s,t) = g'(s,t) h(s,t)^(1/(1-p)) at the
+    grid frequencies.
 
     g' is the rooted codomain kernel at n = p + 1. Overflow-flagged
     frequencies carry u = 0, their analytic limit.
     """
     if not t >= plan.t_min:
         raise ValueError("t below t_min = %g" % plan.t_min)
-    grid = make_grids(DEFAULT_N, DEFAULT_L)[1] if grid is None else grid
     s = grid.frequencies
     h = h_mult_quadrature(s, t, plan)
     flagged = ~np.isfinite(h)
     rooted = rooted_codomain(s, t, plan.params.D, plan.params.p + 1)
     hp = _h_power(np.where(flagged, 1.0, h), plan.params.p,
                   plan.kernel.pole_policy)
-    u = np.where(flagged, 0.0, rooted * hp)
-    return SpectralField(grid, float(t), u), flagged
+    return np.where(flagged, 0.0, rooted * hp), flagged
 
 
-def solve_mult(t, plan, transform=None):
+def solve_mult(t, plan, transform=default_plan()):
     """Spatial samples of the multiplicative-case solution at time t."""
-    transform = default_plan() if transform is None else transform
-    field, _ = mult_codomain(t, plan, transform.spectral)
-    if not np.all(np.isfinite(field.values)):
+    field, _ = mult_codomain(t, plan, transform)
+    if not np.all(np.isfinite(field)):
         raise PoleError("h vanished on the grid at t = %g" % t)
     return transform.inverse(field)
 
@@ -351,10 +348,10 @@ def pde_residual_physical(u_family, times, transform, params,
     Dp, bp, epsp = scale * params.D, scale * params.b, scale * params.eps
     ut = _central_diff_time(u, dt)
     mid = u[2:-2]
-    deriv = -(2.0 * np.pi * transform.spectral.frequencies) ** 2
+    deriv = -(2.0 * np.pi * transform.frequencies) ** 2
     uxx = np.empty_like(mid)
     for k in range(mid.shape[0]):
-        uxx[k] = transform.inverse(transform.forward(mid[k]).values * deriv)
+        uxx[k] = transform.inverse(transform.forward(mid[k]) * deriv)
     if nonlinearity == "multiplicative_p":
         nonlin = mid ** params.p
     else:
@@ -383,7 +380,7 @@ def fisher_constant_prob(x, t, D, eps, prob_product):
     return heat_kernel(x, t, D) * math.exp(eps * prob_product * t)
 
 
-def fisher_quadratic(t, plan, prob_product=1.0, grid=None):
+def fisher_quadratic(t, plan, prob_product=1.0, grid=default_plan()):
     """u(s,t) = g e^(-eps int_0^t P g d tau) for p = 2.
 
     h = exp(+eps int ...) and u = g h^(-1); every frequency matches the
@@ -396,9 +393,7 @@ def fisher_quadratic(t, plan, prob_product=1.0, grid=None):
         raise ValueError("t must be positive")
     if not 0.0 < prob_product <= 1.0:
         raise ValueError("prob_product must lie in (0, 1]")
-    grid = make_grids(DEFAULT_N, DEFAULT_L)[1] if grid is None else grid
     s = grid.frequencies
     D, eps = plan.params.D, plan.params.eps
     integral = prob_product * t * _phi(D * (2.0 * np.pi * s) ** 2 * t)
-    u = gauss_codomain(s, t, D) * np.exp(-eps * integral)
-    return SpectralField(grid, float(t), u)
+    return gauss_codomain(s, t, D) * np.exp(-eps * integral)

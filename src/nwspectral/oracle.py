@@ -81,8 +81,7 @@ class OracleRun:
     (s, t) -> codomain forcing samples, consumed only by the
     forced_convolution mode. kernel_profile is an optional codomain
     multiplier on the u^p term (physical-space convolution of the
-    nonlinearity with an extra kernel), convolution modes only. Every
-    store_every-th step is kept in the trajectory, plus the final state.
+    nonlinearity with an extra kernel), convolution modes only.
     Construction resolves the start field once into start and rejects a dt
     above stability_bound from it.
     """
@@ -94,15 +93,12 @@ class OracleRun:
     t_end: float
     dt: float
     initial: object = None
-    store_every: int = 1
-    kernel: KernelSpec = None
+    kernel: KernelSpec = KernelSpec()
     forcing: object = None
     kernel_profile: object = None
     start: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", KernelSpec())
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError("nonlinearity must be one of %s"
                              % (NONLINEARITIES,))
@@ -115,8 +111,6 @@ class OracleRun:
         steps = round(span / self.dt)
         if steps < 1 or abs(steps * self.dt - span) > 1e-9 * max(1.0, span):
             raise ValueError("dt must divide t_end - t_start")
-        if not (isinstance(self.store_every, int) and self.store_every >= 1):
-            raise ValueError("store_every must be a positive integer")
         if self.nonlinearity == "forced_convolution":
             if not callable(self.forcing):
                 raise ValueError("forced_convolution requires a forcing callable")
@@ -136,7 +130,7 @@ class OracleRun:
         if self.kernel_profile is not None:
             if self.nonlinearity == "multiplicative_p":
                 raise ValueError("kernel_profile applies to convolution modes")
-            s = self.plan.spectral.frequencies
+            s = self.plan.frequencies
             prof = self.kernel_profile
             prof = np.asarray(prof(s) if callable(prof) else prof,
                               dtype=complex)
@@ -165,17 +159,15 @@ def resolve_initial(run):
         return np.array(run.initial, dtype=complex)
     if run.nonlinearity == "multiplicative_p":
         field, flagged = mult_codomain(
-            run.t_start, MultSolverPlan(run.params, run.kernel),
-            run.plan.spectral)
+            run.t_start, MultSolverPlan(run.params, run.kernel), run.plan)
         if np.any(flagged):
             raise SolverError("analytic start has overflow-flagged frequencies")
-        return np.array(field.values, dtype=complex)
-    solution = ConvSolution(run.params, run.kernel, run.plan.spectral)
+        return np.array(field, dtype=complex)
+    solution = ConvSolution(run.params, run.kernel, run.plan)
     if run.nonlinearity == "forced_convolution":
-        return np.array(
-            solve_forced(run.t_start, solution, run.forcing).values,
-            dtype=complex)
-    return np.array(solution.u_field(run.t_start).values, dtype=complex)
+        return np.array(solve_forced(run.t_start, solution, run.forcing),
+                        dtype=complex)
+    return np.array(solution.u_field(run.t_start), dtype=complex)
 
 
 def _dealiased_power(values, p, plan):
@@ -186,7 +178,7 @@ def _dealiased_power(values, p, plan):
     fine = (p + 1) * n // 2
     pad = (fine - n) // 2  # fine - n = (p-1) n/2 is even: n is 2^k >= 16
     spec = np.pad(np.asarray(values, dtype=complex), pad)
-    dx_fine = 2.0 * plan.spatial.length / fine
+    dx_fine = 2.0 * plan.length / fine
     u_fine = _centred_ifft(spec) / dx_fine
     w_fine = u_fine ** p
     w_spec = dx_fine * _centred_fft(w_fine)
@@ -211,14 +203,14 @@ def _nonlinear_stage(run, s):
 
 
 def step_etd(run):
-    """Integrate the run, returning a Trajectory of stored codomain states.
+    """Integrate the run, returning a Trajectory of every codomain state.
 
     Linear factor e^(-(D(2 pi s)^2 + b) dt) applied exactly; nonlinear
     stage advanced by the integrating-factor RK4 tableau from run.start.
     Detected instability (norm growth past 1e6x the start without a flagged
     pole, or a non-finite state) aborts with the step time named.
     """
-    s = run.plan.spectral.frequencies
+    s = run.plan.frequencies
     beta = run.params.b + run.params.D * (2.0 * np.pi * s) ** 2
     dt = run.dt
     half = 0.5 * dt
@@ -248,9 +240,8 @@ def step_etd(run):
                 "oracle run unstable at t = %g (amplitude grew past %g x "
                 "start); consistent with stepping into a finite-time pole"
                 % (t, _INSTABILITY_FACTOR))
-        if k % run.store_every == 0 or k == run.n_steps:
-            times.append(t)
-            states.append(u)
+        times.append(t)
+        states.append(u)
     return Trajectory(np.asarray(times), np.asarray(states))
 
 

@@ -119,7 +119,7 @@ def _etd_order(params, plan, t_end, base, levels):
     # base steps sit inside the asymptotic regime, so each halving of dt
     # divides the error by about 16
     span = t_end - 0.05
-    exact = _conv.ConvSolution(params, grid=plan.spectral).u_field(t_end).values
+    exact = _conv.ConvSolution(params, grid=plan).u_field(t_end)
     errs = []
     for lvl in range(levels + 1):
         run = _oracle.OracleRun(params, plan, "convolution_p", 0.05, t_end,
@@ -134,15 +134,14 @@ def _etd_order(params, plan, t_end, base, levels):
 def suite_conv():
     records, resolutions = [], []
     plan = default_plan()
-    grid = plan.spectral
 
     # acceptance 1: eps=0 collapses to the transported kernel
     p0 = PhysicalParams(1.0, 1.0, 0.0, 2)
-    sol0 = _conv.ConvSolution(p0, grid=grid)
+    sol0 = _conv.ConvSolution(p0, grid=plan)
     worst = 0.0
     for t in (0.1, 0.5, 1.0):
-        got = sol0.u_field(t).values
-        want = _kernels.gauss_codomain(grid.frequencies, t, 1.0) * math.exp(-t)
+        got = sol0.u_field(t)
+        want = _kernels.gauss_codomain(plan.frequencies, t, 1.0) * math.exp(-t)
         worst = max(worst, float(np.max(np.abs(got - want)
                                         / np.maximum(np.abs(want), 1e-300))))
     records.append(CheckRecord("conv/linear_reduction", worst, 1e-12,
@@ -154,10 +153,10 @@ def suite_conv():
     worst = 0.0
     for combo in ((1.0, 1.0, 0.1, 2), (1.0, 1.0, -0.5, 3),
                   (0.5, 2.0, 0.05, 4)):
-        sol = _conv.ConvSolution(PhysicalParams(*combo), grid=grid)
+        sol = _conv.ConvSolution(PhysicalParams(*combo), grid=plan)
         for t in (0.2, 0.5, 1.0):
             worst = max(worst, float(np.max(_conv.codomain_ode_residual(
-                sol, grid.frequencies, t, dt=1e-5))))
+                sol, plan.frequencies, t, dt=1e-5))))
     records.append(CheckRecord("conv/bernoulli_residual", worst, 1e-6,
                                {"t": [0.2, 0.5, 1.0], "dt": 1e-5}))
 
@@ -190,22 +189,20 @@ def suite_conv():
         blow_gap = abs(exc.time - rep.t0)
     records.append(CheckRecord("conv/root_blowup_oracle", blow_gap, 1e-3,
                                {"t0": rep.t0}))
-    bad = 0
-    for eps in (-2.0, -1.0, -0.5, -0.01):
-        r = _conv.root_locus(PhysicalParams(1.0, 1.0, eps, 2))
-        bad += r.regime != "no_root"
+    # regime and t0 at s = 0 (C = 1, beta = b = 1) straight from the formula
+    eps_neg = [-2.0, -1.0, -0.5, -0.01]
+    bad = np.count_nonzero(_conv.root_time(1.0, 1.0, np.array(eps_neg), 2)[1]
+                           != "no_root")
     records.append(CheckRecord("conv/root_negative_eps", float(bad), 0.5,
-                               {"eps": [-2.0, -1.0, -0.5, -0.01]}))
-    eps_down = (1.5, 1.3, 1.1, 1.05, 1.01)
-    t0s = [_conv.root_locus(PhysicalParams(1.0, 1.0, e, 2)).t0
-           for e in eps_down]
-    min_rise = min(b - a for a, b in zip(t0s, t0s[1:]))
-    records.append(CheckRecord("conv/root_monotone", -min_rise, 0.0,
-                               {"eps": list(eps_down)}))
+                               {"eps": eps_neg}))
+    eps_down = [1.5, 1.3, 1.1, 1.05, 1.01]
+    t0s = _conv.root_time(1.0, 1.0, np.array(eps_down), 2)[0]
+    records.append(CheckRecord("conv/root_monotone", -np.diff(t0s).min(), 0.0,
+                               {"eps": eps_down}))
 
     # acceptance 5: delta limit and the p-doubling flattening
-    sol = _conv.ConvSolution(PhysicalParams(1.0, 1.0, 0.1, 2), grid=grid)
-    h0 = sol.h_spec(grid.frequencies, 0.0)
+    sol = _conv.ConvSolution(PhysicalParams(1.0, 1.0, 0.1, 2), grid=plan)
+    h0 = sol.h_spec(plan.frequencies, 0.0)
     records.append(CheckRecord("conv/delta_limit",
                                float(np.max(np.abs(h0 - 1.0))), 1e-300,
                                {"C": 1.0}))
@@ -223,7 +220,7 @@ def suite_conv():
         for b in (0.0, 1.0):
             params = PhysicalParams(1.0, b, eps, 2)
             s_an = [float(np.abs(_conv.solve_physical(
-                t, _conv.ConvSolution(params, grid=grid), plan)).max())
+                t, _conv.ConvSolution(params, grid=plan))).max())
                 for t in times]
             run = _oracle.OracleRun(params, plan, "convolution_p", 0.05,
                                     1.0, 0.95 / _MAX_PRINCIPLE_STEPS)
@@ -238,17 +235,17 @@ def suite_conv():
 
     # forced response against the forced oracle run
     pf = PhysicalParams(1.0, 1.0, 0.1, 2)
-    solf = _conv.ConvSolution(pf, grid=plan40.spectral)
+    solf = _conv.ConvSolution(pf, grid=plan40)
     gauss = _gauss_profile(0.5)
 
     def forcing(s, tau):
         return 0.2 * gauss(s) * _pulse_window(tau)
 
-    ic = _conv.solve_forced(0.05, solf, forcing, initial=1.0).values
+    ic = _conv.solve_forced(0.05, solf, forcing, initial=1.0)
     runf = _oracle.OracleRun(pf, plan40, "forced_convolution", 0.05, 0.4,
                              0.35 / _FORCED_STEPS, initial=ic, forcing=forcing)
     trf = _oracle.step_etd(runf)
-    ref = _conv.solve_forced(0.4, solf, forcing, initial=1.0).values
+    ref = _conv.solve_forced(0.4, solf, forcing, initial=1.0)
     relf = float(np.linalg.norm(trf.values[-1] - ref) / np.linalg.norm(ref))
     records.append(CheckRecord("conv/forced_oracle", relf, 1e-3,
                                {"amplitude": 0.2, "B": 1.0,
@@ -269,11 +266,10 @@ def suite_conv():
     f1 = _conv.solve_with_kernels(0.4, solf, extra=(khat,),
                                   mode="convolution_K2")
     runk = _oracle.OracleRun(pf, plan40, "convolution_p", 0.05, 0.4,
-                             0.35 / _KERNEL_MODE_STEPS, initial=f0.values,
+                             0.35 / _KERNEL_MODE_STEPS, initial=f0,
                              kernel_profile=khat)
     trk = _oracle.step_etd(runk)
-    rel_k2 = float(np.linalg.norm(trk.values[-1] - f1.values)
-                   / np.linalg.norm(f1.values))
+    rel_k2 = float(np.linalg.norm(trk.values[-1] - f1) / np.linalg.norm(f1))
     records.append(CheckRecord("conv/kernel_mode_K2_oracle", rel_k2, 1e-3,
                                {"profile": "gauss", "mode": "convolution_K2"}))
     g0 = _conv.solve_with_kernels(0.05, solf, extra=(khat,),
@@ -281,10 +277,9 @@ def suite_conv():
     g1 = _conv.solve_with_kernels(0.4, solf, extra=(khat,),
                                   mode="product_K1")
     rung = _oracle.OracleRun(pf, plan40, "convolution_p", 0.05, 0.4,
-                             0.35 / _KERNEL_MODE_STEPS, initial=g0.values)
+                             0.35 / _KERNEL_MODE_STEPS, initial=g0)
     trg = _oracle.step_etd(rung)
-    rel_k1 = float(np.linalg.norm(trg.values[-1] - g1.values)
-                   / np.linalg.norm(g1.values))
+    rel_k1 = float(np.linalg.norm(trg.values[-1] - g1) / np.linalg.norm(g1))
     records.append(CheckRecord("conv/kernel_mode_K1_oracle", rel_k1, 1e-3,
                                {"profile": "gauss", "mode": "product_K1"}))
     resolutions.append(Resolution(
@@ -314,9 +309,8 @@ def fisher_erfc_records(resolutions):
     """Acceptance-6 comparison plus the consistent-inversion identity."""
     pf = PhysicalParams(1.0, 1.0, 0.01, 2)
     plan = default_plan(4096, 80.0)
-    x = plan.spatial.points
-    spectrum = _conv.fisher_codomain_expansion(plan.spectral.frequencies,
-                                               0.5, pf)
+    x = plan.points
+    spectrum = _conv.fisher_codomain_expansion(plan.frequencies, 0.5, pf)
     from_dft = plan.inverse(spectrum)
     printed = _conv.fisher_erfc_approx(x, 0.5, pf)
     consistent = _conv.fisher_erfc_transform_consistent(x, 0.5, pf)
@@ -342,7 +336,6 @@ def fisher_erfc_records(resolutions):
 def suite_mult():
     records, resolutions = [], []
     plan = default_plan()
-    grid = plan.spectral
 
     # acceptance 8a: quadrature certificates at 20 probes
     rng = np.random.default_rng(0)
@@ -373,10 +366,10 @@ def suite_mult():
     grid_gap = 0.0
     for mp in plans:
         for t in (0.5, 1.0, 2.0, 4.0):
-            h = _mult.h_mult_quadrature(grid.frequencies, t, mp)
+            h = _mult.h_mult_quadrature(plan.frequencies, t, mp)
             for target in (0.0, 0.5, 1.0):
-                k = int(np.argmin(np.abs(grid.frequencies - target)))
-                want = _mult.h_mult_certificate(grid.frequencies[k], t,
+                k = int(np.argmin(np.abs(plan.frequencies - target)))
+                want = _mult.h_mult_certificate(plan.frequencies[k], t,
                                                 mp).value
                 grid_gap = max(grid_gap, abs(h[k] - want) / abs(want))
     records.append(CheckRecord("mult/h_grid_vs_certificate", grid_gap, 1e-8,
@@ -387,9 +380,8 @@ def suite_mult():
     dt = 1e-3
     times = np.array([0.5 + k * dt for k in range(-2, 3)])
     pm = PhysicalParams(1.0, 1.0, 0.01, 2)
-    cal_sol = _conv.ConvSolution(pm, grid=grid)
-    fam_cal = np.stack([_conv.solve_physical(t, cal_sol, plan)
-                        for t in times])
+    cal_sol = _conv.ConvSolution(pm, grid=plan)
+    fam_cal = np.stack([_conv.solve_physical(t, cal_sol) for t in times])
     calibration = _mult.pde_residual_physical(fam_cal, times, plan, pm,
                                               "none", "convolution_p")
     records.append(CheckRecord("mult/residual_calibration", calibration,
@@ -445,7 +437,7 @@ def suite_mult():
         for tau in (0.25, 1.0):
             a = _mult.corollary_integrand(svals, tau, mp, "paper_formula")
             b = _mult.corollary_integrand(svals, tau, mp, "discrete_oracle",
-                                          grid=grid)
+                                          grid=plan)
             ratio = a / b
             spread = float((ratio.max() - ratio.min()) / np.abs(ratio).max())
             law = (4.0 * math.pi * tau) ** (-(i + 1) / 2.0)
@@ -463,7 +455,7 @@ def suite_mult():
     for s in (0.0, 0.5):
         hp_ = _mult.h_mult_corollary(s, 1.0, mp2, "paper_formula")
         ho_ = _mult.h_mult_corollary(s, 1.0, mp2, "discrete_oracle",
-                                     grid=grid)
+                                     grid=plan)
         r_int.append({"s": s, "integrated_ratio": float(hp_ / ho_)})
     resolutions.append(Resolution(
         "iterated-convolution prefactor discrepancy",
@@ -476,7 +468,7 @@ def suite_mult():
 
     # solver-level checks
     mp_eps0 = _mult.MultSolverPlan(PhysicalParams(1.0, 1.0, 0.0, 2))
-    h0 = _mult.h_mult_quadrature(grid.frequencies, 0.5, mp_eps0)
+    h0 = _mult.h_mult_quadrature(plan.frequencies, 0.5, mp_eps0)
     pref = math.exp(3.0 * 0.5) * 0.5 ** (2.0 / 6.0)
     records.append(CheckRecord("mult/eps_zero_exact",
                                float(np.max(np.abs(h0 - pref))), 1e-300,
@@ -501,7 +493,7 @@ def suite_mult():
     records.append(CheckRecord("mult/fisher_constant", abs(val - got),
                                1e-12, {"prob_product": 0.25}))
     mpq = _mult.MultSolverPlan(PhysicalParams(1.0, 1.0, 0.3, 2))
-    fq = _mult.fisher_quadratic(1.0, mpq, prob_product=0.25, grid=grid)
+    fq = _mult.fisher_quadratic(1.0, mpq, prob_product=0.25, grid=plan)
     from scipy.integrate import solve_ivp
 
     def rhs(t, y, s):
@@ -510,11 +502,11 @@ def suite_mult():
 
     worst = 0.0
     for target in (0.0, 0.2, 0.5):
-        idx = int(np.argmin(np.abs(grid.frequencies - target)))
-        s0 = float(grid.frequencies[idx])
+        idx = int(np.argmin(np.abs(plan.frequencies - target)))
+        s0 = float(plan.frequencies[idx])
         sol = solve_ivp(rhs, (0.0, 1.0), [1.0], args=(s0,), method="DOP853",
                         rtol=1e-12, atol=1e-14)
-        worst = max(worst, abs(sol.y[0, -1] - float(fq.values[idx].real)))
+        worst = max(worst, abs(sol.y[0, -1] - float(fq[idx])))
     records.append(CheckRecord("mult/fisher_quadratic_ode", worst, 1e-10,
                                {"prob_product": 0.25}))
     return records, resolutions
@@ -528,22 +520,20 @@ def _lorentzian_forward_gap():
     needs this refined grid (the error falls as dx^2: 8.9e-7 at n = 16384).
     """
     plan = default_plan(32768, 20.0)
-    fwd = plan.forward(_kernels.lorentzian_pair(plan.spatial.points,
-                                                1.0, 1.0)).values
-    want = _kernels.lorentzian_codomain(plan.spectral.frequencies, 1.0, 1.0)
+    fwd = plan.forward(_kernels.lorentzian_pair(plan.points, 1.0, 1.0))
+    want = _kernels.lorentzian_codomain(plan.frequencies, 1.0, 1.0)
     return float(np.max(np.abs(fwd - want)))
 
 
 def suite_kernels():
     records, resolutions = [], []
     plan = default_plan()
-    grid = plan.spectral
 
     # erfc_pair's erfcx form against its direct four-factor form
     # e^(bt) e^(-+x sqrt(b/D)) erfc(z) / (4 sqrt(Db)), at a time where the
     # direct form is finite; relative gap at every grid point
     D, b, t = 1.0, 1.0, 0.7
-    xs = plan.spatial.points
+    xs = plan.points
     rate, denom = math.sqrt(b / D), 2.0 * math.sqrt(D * t)
     shift = 2.0 * t * math.sqrt(D * b)
     direct = math.exp(b * t) / (4.0 * math.sqrt(D * b)) * (
@@ -554,9 +544,9 @@ def suite_kernels():
     records.append(CheckRecord("kernels/erfc_pair_erfcx_vs_direct", gap,
                                1e-13, {"t": t, "D": D, "b": b}))
 
-    heat = _kernels.heat_kernel(plan.spatial.points, 0.3, 1.0)
-    fwd = plan.forward(heat).values
-    want = _kernels.gauss_codomain(grid.frequencies, 0.3, 1.0)
+    heat = _kernels.heat_kernel(plan.points, 0.3, 1.0)
+    fwd = plan.forward(heat)
+    want = _kernels.gauss_codomain(plan.frequencies, 0.3, 1.0)
     records.append(CheckRecord(
         "kernels/heat_transform",
         float(np.max(np.abs(fwd - want))), 1e-10, {"t": 0.3}))
@@ -564,9 +554,9 @@ def suite_kernels():
     # factor-count resolution: n factors of the rooted kernel remake g
     worst = 0.0
     for p in (2, 3):
-        rooted = _kernels.rooted_codomain(grid.frequencies, 0.4, 1.0, p + 1)
-        back = circular_convolve_many([rooted] * (p + 1), grid.ds)
-        want = _kernels.gauss_codomain(grid.frequencies, 0.4, 1.0)
+        rooted = _kernels.rooted_codomain(plan.frequencies, 0.4, 1.0, p + 1)
+        back = circular_convolve_many([rooted] * (p + 1), plan.ds)
+        want = _kernels.gauss_codomain(plan.frequencies, 0.4, 1.0)
         worst = max(worst, float(np.max(np.abs(back - want))))
     records.append(CheckRecord("kernels/rooted_factor_count", worst, 1e-8,
                                {"n": "p+1"}))
@@ -582,15 +572,15 @@ def suite_kernels():
         {"D": 1.0, "b": 1.0, "grid": [32768, 20]}))
 
     trans = np.abs(math.exp(-50.0)
-                   * _kernels.erfc_pair(plan.spatial.points, 50.0, 1.0, 1.0))
+                   * _kernels.erfc_pair(plan.points, 50.0, 1.0, 1.0))
     records.append(CheckRecord("kernels/erfc_pair_transient",
                                float(trans.max()), 1e-8, {"t": 50.0}))
 
     worst = 0.0
     for i in (1, 2):
-        exact = _kernels.gauss_selfconv_exact(grid.frequencies, 0.5, 1.0, i)
+        exact = _kernels.gauss_selfconv_exact(plan.frequencies, 0.5, 1.0, i)
         disc = _kernels.iterated_gauss_selfconv(
-            grid.frequencies, 0.5, 1.0, i, "discrete_oracle", grid)
+            plan.frequencies, 0.5, 1.0, i, "discrete_oracle", plan)
         worst = max(worst, float(np.max(np.abs(exact - disc))))
     records.append(CheckRecord("kernels/selfconv_exact_vs_discrete", worst,
                                1e-8, {"i": [1, 2], "t": 0.5}))
@@ -600,7 +590,7 @@ def suite_kernels():
 def suite_appendix():
     records, resolutions = [], []
     plan = default_plan()
-    x = plan.spatial.points
+    x = plan.points
 
     f = _kernels.heat_kernel(x, 0.4, 1.0)
     g = _kernels.heat_kernel(x, 0.7, 0.5)
@@ -631,9 +621,9 @@ def suite_appendix():
         {"D": 1.0, "b": 1.0, "grid": [32768, 20]}))
     plan_inv = default_plan(16384, 40.0)
     inv = plan_inv.inverse(_kernels.lorentzian_codomain(
-        plan_inv.spectral.frequencies, 1.0, 1.0))
-    want = _kernels.lorentzian_pair(plan_inv.spatial.points, 1.0, 1.0)
-    off = np.abs(plan_inv.spatial.points) > 0.5
+        plan_inv.frequencies, 1.0, 1.0))
+    want = _kernels.lorentzian_pair(plan_inv.points, 1.0, 1.0)
+    off = np.abs(plan_inv.points) > 0.5
     records.append(CheckRecord(
         "appendix/a1_inverse_offkink",
         float(np.max(np.abs(inv[off] - want[off]))), 1e-6,
@@ -647,9 +637,8 @@ def suite_appendix():
         {}))
 
     plan_a2 = default_plan(4096, 80.0)
-    a2 = _kernels.erfc_pair(plan_a2.spatial.points, 0.7, 1.0, 1.0)
-    a2_spec = _kernels.erfc_pair_codomain(plan_a2.spectral.frequencies,
-                                          0.7, 1.0, 1.0)
+    a2 = _kernels.erfc_pair(plan_a2.points, 0.7, 1.0, 1.0)
+    a2_spec = _kernels.erfc_pair_codomain(plan_a2.frequencies, 0.7, 1.0, 1.0)
     a2_inv = plan_a2.inverse(a2_spec)
     records.append(CheckRecord(
         "appendix/a2_vs_dft", float(np.max(np.abs(a2 - a2_inv))), 1e-6,

@@ -1,21 +1,27 @@
-"""Discrete Fourier transforms, discrete convolution, and executable
-convolution-identity checks.
+"""The grid, its discrete Fourier transforms, discrete convolution, and
+executable convolution-identity checks.
 
-Forward transform approximates F(s) = integral f(x) e^(-2 pi i s x) dx by
+One TransformPlan holds the (n, L) grid decision: spatial samples on
+[-L, L) and their dual frequencies. Codomain samples travel as plain
+arrays in centred frequency order, matching plan.frequencies. Forward
+transform approximates F(s) = integral f(x) e^(-2 pi i s x) dx by
 dx-scaled DFT; inverse approximates the e^(+2 pi i s x) integral. Discrete
 convolution is circular with dx scaling, so the convolution theorem holds
 exactly on the grid.
 """
 
+import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_L, DEFAULT_N, SpatialGrid, SpectralField,
-                   SpectralGrid, make_grids)
-
+# Default desk-scale grid. Keeps the codomain Gaussian at the Nyquist
+# frequency below the band-limit floor for t >= 0.05, D = 1.
+DEFAULT_N = 256
+DEFAULT_L = 20.0
+BAND_LIMIT_FLOOR = 1e-8
 IMAG_RESIDUE_TOL = 1e-10
 
 
@@ -31,47 +37,73 @@ def _centred_ifft(values):
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Paired grids plus the fixed normalization of the transform.
+    """The (n, L) grid decision and the transform between its two sides.
 
-    Forward is unscaled DFT times dx; inverse is the scaled inverse DFT
-    divided by dx. round_trip(f) = f to 1e-12 relative for finite input.
+    Spatial samples sit at x_j = -L + j dx on [-L, L), dx = 2L/n; their
+    dual frequencies are s_k = k/(2L) for k = -n/2 .. n/2 - 1, ds = 1/(2L),
+    so dx * ds * n = 1 exactly and the Nyquist frequency is s_max = n/(4L).
+    n must be a power of two >= 16 so the grid is symmetric about x = 0,
+    where the heat kernel is centred. Forward is the unscaled DFT times dx;
+    inverse is the scaled inverse DFT divided by dx, so round_trip(f) = f
+    to 1e-12 relative for finite input.
     """
 
-    spatial: SpatialGrid
-    spectral: SpectralGrid
+    n: int
+    length: float
 
     def __post_init__(self):
-        if (self.spatial.n_points != self.spectral.n_points
-                or self.spatial.length != self.spectral.length):
-            raise ValueError("spatial and spectral grids must be duals")
-
-    @property
-    def n(self):
-        return self.spatial.n_points
+        if not isinstance(self.n, int) or self.n < 1 or self.n & (self.n - 1):
+            raise ValueError("n_points must be a power of two")
+        if self.n < 16:
+            raise ValueError("n_points must be >= 16")
+        if not (isinstance(self.length, (int, float))
+                and math.isfinite(self.length) and self.length > 0):
+            raise ValueError("length must be positive and finite")
+        object.__setattr__(self, "length", float(self.length))
 
     @property
     def dx(self):
-        return self.spatial.dx
+        return 2.0 * self.length / self.n
 
     @property
     def ds(self):
-        return self.spectral.ds
+        return 1.0 / (2.0 * self.length)
 
-    def forward(self, f, time=0.0):
-        """Transform spatial samples (natural x order) to a SpectralField."""
+    @property
+    def points(self):
+        return -self.length + self.dx * np.arange(self.n)
+
+    @property
+    def frequencies(self):
+        return (np.arange(self.n) - self.n // 2) * self.ds
+
+    @property
+    def s_max(self):
+        return self.n / (4.0 * self.length)
+
+    def band_limit_margin(self, D, t_min):
+        """|g(s_max, t_min)| for the codomain Gaussian g = e^(-D(2 pi s)^2 t)."""
+        return math.exp(-D * (2.0 * math.pi * self.s_max) ** 2 * t_min)
+
+    def band_limit_ok(self, D, t_min):
+        """Anti-aliasing guard: the codomain Gaussian must be negligible at Nyquist."""
+        return self.band_limit_margin(D, t_min) <= BAND_LIMIT_FLOOR
+
+    def forward(self, f):
+        """Transform spatial samples (natural x order) to centred codomain
+        samples."""
         f = np.asarray(f)
         if f.shape != (self.n,):
             raise ValueError("sample count must match grid")
-        spec = self.dx * _centred_fft(f)
-        return SpectralField(self.spectral, time, spec)
+        return self.dx * _centred_fft(f)
 
-    def inverse(self, field):
-        """Invert a SpectralField (or raw centered spectrum) to real samples.
+    def inverse(self, values):
+        """Invert centred codomain samples to real spatial samples.
 
         The imaginary residue of a Hermitian field stays below 1e-10 of the
         field scale; anything above that is discarded with a warning.
         """
-        values = field.values if isinstance(field, SpectralField) else np.asarray(field)
+        values = np.asarray(values)
         if values.shape != (self.n,):
             raise ValueError("sample count must match grid")
         if not np.all(np.isfinite(values)):
@@ -85,11 +117,8 @@ class TransformPlan:
         return f.real
 
 
-def default_plan(n_points=None, length=None):
-    n = DEFAULT_N if n_points is None else n_points
-    ell = DEFAULT_L if length is None else length
-    spatial, spectral = make_grids(n, ell)
-    return TransformPlan(spatial, spectral)
+def default_plan(n_points=DEFAULT_N, length=DEFAULT_L):
+    return TransformPlan(n_points, length)
 
 
 def circular_convolve(f, g, spacing):
@@ -135,10 +164,10 @@ def conv_theorem_residual(plan, *samples):
         if f.shape != (plan.n,):
             raise ValueError("sample count must match grid")
     convolved = circular_convolve_many(arrays, plan.dx)
-    lhs = plan.forward(convolved).values
+    lhs = plan.forward(convolved)
     rhs = np.ones(plan.n, dtype=complex)
     for f in arrays:
-        rhs = rhs * plan.forward(f).values
+        rhs = rhs * plan.forward(f)
     scale = float(np.abs(rhs).max())
     if scale == 0.0:
         return float(np.abs(lhs).max())
@@ -149,7 +178,7 @@ def parseval_defect(plan, f):
     """Relative defect of ||f||^2 dx = ||forward(f)||^2 ds."""
     f = np.asarray(f)
     lhs = float(np.sum(np.abs(f) ** 2)) * plan.dx
-    rhs = float(np.sum(np.abs(plan.forward(f).values) ** 2)) * plan.ds
+    rhs = float(np.sum(np.abs(plan.forward(f)) ** 2)) * plan.ds
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
         return 0.0
@@ -223,8 +252,9 @@ def derivative_distribution_residual(plan, G_family, f_family, dt):
     return DerivativeResiduals(time_rule, space_left, space_right)
 
 
-def wraparound_mass(f, fraction=0.01):
-    """Fraction of |f| mass sitting in the outer tails of the domain.
+def wraparound_mass(f):
+    """Fraction of |f| mass sitting in the outer 1% at each end of the
+    domain.
 
     The domain half-width must be large enough that this is negligible
     for every shipped example; callers treat values above 1e-12 of the
@@ -232,7 +262,7 @@ def wraparound_mass(f, fraction=0.01):
     """
     f = np.abs(np.asarray(f, dtype=float))
     n = f.size
-    edge = max(1, int(round(fraction * n)))
+    edge = max(1, int(round(0.01 * n)))
     total = float(f.sum())
     if total == 0.0:
         return 0.0

@@ -22,7 +22,7 @@ import pytest
 from nwspectral import conv as _conv
 from nwspectral import oracle as _oracle
 from nwspectral.cli import main as cli_main
-from nwspectral.core import PhysicalParams, make_grids
+from nwspectral.core import PhysicalParams
 from nwspectral.kernels import gauss_codomain
 from nwspectral.report import run_suite
 from nwspectral.spectral import TransformPlan, default_plan
@@ -48,8 +48,7 @@ class _Budget:
 
 def _etd_errors(params, plan, t_end, base, levels):
     span = t_end - 0.05
-    exact = _conv.ConvSolution(params,
-                               grid=plan.spectral).u_field(t_end).values
+    exact = _conv.ConvSolution(params, grid=plan).u_field(t_end)
     errs = []
     for lvl in range(levels + 1):
         run = _oracle.OracleRun(params, plan, "convolution_p", 0.05, t_end,
@@ -62,11 +61,11 @@ def _etd_errors(params, plan, t_end, base, levels):
 
 def test_criterion_01_linear_reduction():
     with _Budget(1.0):
-        grid = default_plan().spectral
+        grid = default_plan()
         sol = _conv.ConvSolution(PhysicalParams(1.0, 1.0, 0.0, 2),
                                  grid=grid)
         for t in (0.1, 0.5, 1.0):
-            got = sol.u_field(t).values
+            got = sol.u_field(t)
             want = gauss_codomain(grid.frequencies, t, 1.0) * math.exp(-t)
             rel = np.max(np.abs(got - want)
                          / np.maximum(np.abs(want), 1e-300))
@@ -75,7 +74,7 @@ def test_criterion_01_linear_reduction():
 
 def test_criterion_02_codomain_ode_residual():
     with _Budget(5.0):
-        grid = default_plan().spectral
+        grid = default_plan()
         for combo in ((1.0, 1.0, 0.1, 2), (1.0, 1.0, -0.5, 3),
                       (0.5, 2.0, 0.05, 4)):
             sol = _conv.ConvSolution(PhysicalParams(*combo), grid=grid)
@@ -88,8 +87,7 @@ def test_criterion_02_codomain_ode_residual():
 
 def test_criterion_03_oracle_equivalence_conv():
     with _Budget(10.0):
-        spatial, spectral = make_grids(256, 40.0)
-        plan = TransformPlan(spatial, spectral)
+        plan = TransformPlan(256, 40.0)
         errs = _etd_errors(PhysicalParams(1.0, 1.0, 0.1, 2), plan, 0.5, 92,
                            levels=1)
         assert errs[0] < 1e-3, "relative L2 %.3e" % errs[0]
@@ -122,7 +120,7 @@ def test_criterion_04_root_locus():
 
 def test_criterion_05_delta_and_large_p_limits():
     with _Budget(2.0):
-        grid = default_plan().spectral
+        grid = default_plan()
         sol = _conv.ConvSolution(PhysicalParams(1.0, 1.0, 0.1, 2),
                                  grid=grid)
         h0 = sol.h_spec(grid.frequencies, 0.0)
@@ -141,16 +139,15 @@ def test_criterion_06_fisher_erfc_closed_form():
     with _Budget(5.0):
         params = PhysicalParams(1.0, 1.0, 0.01, 2)
         t = 0.5
-        spatial, spectral = make_grids(4096, 80.0)
-        plan = TransformPlan(spatial, spectral)
-        s = spectral.frequencies
+        plan = TransformPlan(4096, 80.0)
+        s = plan.frequencies
         spectrum = _conv.fisher_codomain_expansion(s, t, params)
         from_dft = plan.inverse(spectrum)
-        closed = _conv.fisher_erfc_transform_consistent(spatial.points, t,
+        closed = _conv.fisher_erfc_transform_consistent(plan.points, t,
                                                         params)
         linf = float(np.max(np.abs(closed - from_dft)))
 
-        printed = _conv.fisher_erfc_approx(spatial.points, t, params)
+        printed = _conv.fisher_erfc_approx(plan.points, t, params)
         w2 = (2.0 * math.pi * s) ** 2
         g2 = gauss_codomain(s, t, params.D) ** 2
         third_gap = plan.inverse(
@@ -212,21 +209,21 @@ def test_criterion_08_multiplicative_verification_report():
 def test_criterion_09_maximum_principle_surrogate():
     with _Budget(10.0):
         plan = default_plan()
-        grid = plan.spectral
         times = np.linspace(0.05, 1.0, 10)
         for eps in (-0.5, 0.0):
             for b in (0.0, 1.0):
                 params = PhysicalParams(1.0, b, eps, 2)
-                sol = _conv.ConvSolution(params, grid=grid)
-                sups = [float(np.abs(_conv.solve_physical(
-                    t, sol, plan)).max()) for t in times]
+                sol = _conv.ConvSolution(params, grid=plan)
+                sups = [float(np.abs(_conv.solve_physical(t, sol)).max())
+                        for t in times]
                 steps = 770 if b == 0.0 else 771
                 run = _oracle.OracleRun(
-                    params, plan, "convolution_p", 0.05, 1.0, 0.95 / steps,
-                    store_every=5)
+                    params, plan, "convolution_p", 0.05, 1.0, 0.95 / steps)
                 traj = _oracle.step_etd(run)
+                # every 5th state plus the last one
+                kept = sorted(set(range(0, steps + 1, 5)) | {steps})
                 sups_oracle = [float(np.abs(plan.inverse(state)).max())
-                               for state in traj.values]
+                               for state in traj.values[kept]]
                 for label, seq in (("analytic", sups),
                                    ("oracle", sups_oracle)):
                     rise = max(y - x for x, y in zip(seq, seq[1:]))

@@ -11,7 +11,8 @@ import pytest
 from nwspectral.cli import (ConfigError, RunConfig, _field_rows, _fmt17,
                             load_json, main)
 from nwspectral.conv import root_locus
-from nwspectral.core import BAND_LIMIT_FLOOR, PhysicalParams, SpectralGrid
+from nwspectral.core import PhysicalParams
+from nwspectral.spectral import BAND_LIMIT_FLOOR, TransformPlan
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -356,7 +357,7 @@ class TestSolveOutputs:
         assert ("aliasing flagged" in capsys.readouterr().out) is flagged
         meta = json.loads((out / "run_meta.json").read_text("utf-8"))
         margin = meta["band_limit_margin"][_fmt17(t)]
-        assert margin == SpectralGrid(n, 20.0).band_limit_margin(1.0, t)
+        assert margin == TransformPlan(n, 20.0).band_limit_margin(1.0, t)
         assert (margin > BAND_LIMIT_FLOOR) is flagged
         assert meta["aliasing_flag"] is flagged
         assert meta["pole_flag"] is False

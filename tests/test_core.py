@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nwspectral.core import (KernelSpec, PhysicalParams, SpatialGrid,
-                             SpectralField, SpectralGrid, make_grids)
+from nwspectral.core import KernelSpec, PhysicalParams
+from nwspectral.spectral import TransformPlan
 
 
 class TestPhysicalParams:
@@ -40,50 +40,37 @@ class TestGrids:
     def test_duality_identity(self):
         # dx * ds * n = 1 ties the two spacings together exactly
         for n, L in ((16, 1.0), (256, 20.0), (1024, 77.5)):
-            spatial, spectral = make_grids(n, L)
-            assert spatial.dx * spectral.ds * n == pytest.approx(1.0,
-                                                                 abs=1e-15)
+            plan = TransformPlan(n, L)
+            assert plan.dx * plan.ds * n == pytest.approx(1.0, abs=1e-15)
 
     def test_points_are_centered(self):
-        spatial, spectral = make_grids(64, 8.0)
-        assert spatial.points[32] == 0.0
-        assert spectral.frequencies[32] == 0.0
-        assert spatial.points[0] == -8.0
+        plan = TransformPlan(64, 8)
+        assert plan.length == 8.0 and isinstance(plan.length, float)
+        assert plan.points[32] == 0.0
+        assert plan.frequencies[32] == 0.0
+        assert plan.points[0] == -8.0
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            SpectralGrid(100, 10.0)
-        with pytest.raises(ValueError):
-            SpatialGrid(12, 10.0)
+        for n in (100, 12):
+            with pytest.raises(ValueError, match="power of two"):
+                TransformPlan(n, 10.0)
 
     def test_rejects_tiny_grids(self):
-        with pytest.raises(ValueError):
-            SpectralGrid(8, 10.0)
+        with pytest.raises(ValueError, match=">= 16"):
+            TransformPlan(8, 10.0)
 
     @given(st.sampled_from([16, 32, 64, 128, 256]),
            st.floats(min_value=0.5, max_value=200.0))
     def test_nyquist_is_half_the_band(self, n, L):
-        grid = SpectralGrid(n, L)
-        assert grid.s_max == pytest.approx(n / (4.0 * L))
-        assert grid.frequencies[0] == pytest.approx(-grid.s_max)
+        plan = TransformPlan(n, L)
+        assert plan.s_max == pytest.approx(n / (4.0 * L))
+        assert plan.frequencies[0] == pytest.approx(-plan.s_max)
 
-
-class TestSpectralField:
-    def test_values_are_frozen(self):
-        _, grid = make_grids(64, 8.0)
-        field = SpectralField(grid, 0.0, np.ones(64))
-        with pytest.raises(ValueError):
-            field.values[0] = 2.0
-
-    def test_rejects_wrong_length(self):
-        _, grid = make_grids(64, 8.0)
-        with pytest.raises(ValueError):
-            SpectralField(grid, 0.0, np.ones(63))
-
-    def test_rejects_negative_time(self):
-        _, grid = make_grids(64, 8.0)
-        with pytest.raises(ValueError):
-            SpectralField(grid, -0.1, np.ones(64))
+    def test_transforms_reject_wrong_length(self):
+        plan = TransformPlan(64, 8.0)
+        for transform in (plan.forward, plan.inverse):
+            with pytest.raises(ValueError, match="sample count"):
+                transform(np.ones(63))
 
 
 class TestKernelSpec:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nwspectral.core import make_grids
 from nwspectral.kernels import (erfc, erfc_pair,
                                 erfc_pair_codomain, gauss_codomain,
                                 gauss_selfconv_exact, heat_kernel,
@@ -48,14 +47,14 @@ class TestHeatKernel:
 
     def test_mass_is_one(self):
         plan = default_plan()
-        mass = float(np.sum(heat_kernel(plan.spatial.points, 0.3, 1.0))
+        mass = float(np.sum(heat_kernel(plan.points, 0.3, 1.0))
                      * plan.dx)
         assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_transform_is_the_gaussian(self):
         plan = default_plan()
-        got = plan.forward(heat_kernel(plan.spatial.points, 0.3, 1.0)).values
-        want = gauss_codomain(plan.spectral.frequencies, 0.3, 1.0)
+        got = plan.forward(heat_kernel(plan.points, 0.3, 1.0))
+        want = gauss_codomain(plan.frequencies, 0.3, 1.0)
         assert np.max(np.abs(got - want)) < 1e-10
 
     @given(st.floats(min_value=0.05, max_value=2.0),
@@ -77,7 +76,7 @@ class TestRootedKernel:
         # n factors need n-1 convolution operators; this pins the
         # factor-count convention used everywhere downstream
         plan = default_plan()
-        s = plan.spectral.frequencies
+        s = plan.frequencies
         for p in (2, 3):
             rooted = rooted_codomain(s, 0.4, 1.0, p + 1)
             back = circular_convolve_many([rooted] * (p + 1), plan.ds)
@@ -86,7 +85,7 @@ class TestRootedKernel:
 
     def test_off_by_one_convention_fails(self):
         plan = default_plan()
-        s = plan.spectral.frequencies
+        s = plan.frequencies
         rooted = rooted_codomain(s, 0.4, 1.0, 3)
         over = circular_convolve_many([rooted] * 4, plan.ds)
         want = gauss_codomain(s, 0.4, 1.0)
@@ -96,11 +95,11 @@ class TestRootedKernel:
 class TestIteratedSelfConvolution:
     def test_discrete_oracle_matches_continuum(self):
         plan = default_plan()
-        s = plan.spectral.frequencies
+        s = plan.frequencies
         for i in (1, 2):
             exact = gauss_selfconv_exact(s, 0.5, 1.0, i)
             disc = iterated_gauss_selfconv(s, 0.5, 1.0, i,
-                                           "discrete_oracle", plan.spectral)
+                                           "discrete_oracle", plan)
             assert np.max(np.abs(exact - disc)) < 1e-8
 
     def test_stated_form_off_by_the_prefactor_law(self):
@@ -128,25 +127,23 @@ class TestIteratedSelfConvolution:
 class TestClosedFormPairs:
     def test_lorentzian_pair_forward(self):
         plan = default_plan(32768, 20.0)
-        f = lorentzian_pair(plan.spatial.points, 1.0, 1.0)
-        want = lorentzian_codomain(plan.spectral.frequencies, 1.0, 1.0)
-        got = plan.forward(f).values
+        f = lorentzian_pair(plan.points, 1.0, 1.0)
+        want = lorentzian_codomain(plan.frequencies, 1.0, 1.0)
+        got = plan.forward(f)
         assert np.max(np.abs(got - want)) < 1e-6
 
     def test_lorentzian_inverse_off_the_kink(self):
         plan = default_plan(16384, 40.0)
-        inv = plan.inverse(lorentzian_codomain(plan.spectral.frequencies,
+        inv = plan.inverse(lorentzian_codomain(plan.frequencies,
                                                1.0, 1.0))
-        want = lorentzian_pair(plan.spatial.points, 1.0, 1.0)
-        off = np.abs(plan.spatial.points) > 0.5
+        want = lorentzian_pair(plan.points, 1.0, 1.0)
+        off = np.abs(plan.points) > 0.5
         assert np.max(np.abs(inv[off] - want[off])) < 1e-6
 
     def test_erfc_pair_vs_inverse_dft(self):
-        spatial, spectral = make_grids(4096, 80.0)
-        from nwspectral.spectral import TransformPlan
-        plan = TransformPlan(spatial, spectral)
-        got = erfc_pair(spatial.points, 0.7, 1.0, 1.0)
-        want = plan.inverse(erfc_pair_codomain(spectral.frequencies, 0.7,
+        plan = default_plan(4096, 80.0)
+        got = erfc_pair(plan.points, 0.7, 1.0, 1.0)
+        want = plan.inverse(erfc_pair_codomain(plan.frequencies, 0.7,
                                                1.0, 1.0))
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -182,7 +179,7 @@ class TestClosedFormPairs:
     def test_erfc_pair_large_time_transient_vanishes(self):
         # e^(bt) prefactor must cancel against the erfc decay, not overflow
         plan = default_plan()
-        vals = erfc_pair(plan.spatial.points, 50.0, 1.0, 1.0)
+        vals = erfc_pair(plan.points, 50.0, 1.0, 1.0)
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(math.exp(-50.0) * vals)) < 1e-8
 

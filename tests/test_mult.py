@@ -79,10 +79,10 @@ class TestQuadrature:
 
     def test_overflow_frequencies_are_flagged(self, plan):
         mp = MultSolverPlan(P2)
-        field, flagged = mult_codomain(1.0, mp, plan.spectral)
+        field, flagged = mult_codomain(1.0, mp, plan)
         assert flagged.any()
-        assert np.all(field.values[flagged] == 0.0)
-        assert np.all(np.isfinite(field.values))
+        assert np.all(field[flagged] == 0.0)
+        assert np.all(np.isfinite(field))
 
     def test_p3_needs_the_cutoff(self):
         mp = MultSolverPlan(P3, t_min=0.01)
@@ -126,7 +126,7 @@ class TestClosedFormAccuracy:
                                          (3, 100.0, 0.5)])
     def test_grid_h_matches_mpmath(self, plan, p, b, t):
         mp = MultSolverPlan(PhysicalParams(1.0, b, -0.5, p))
-        s = plan.spectral.frequencies
+        s = plan.frequencies
         h = h_mult_quadrature(s, t, mp)
         for target in (0.0, 0.5, 1.0):
             k = int(np.argmin(np.abs(s - target)))
@@ -137,19 +137,19 @@ class TestClosedFormAccuracy:
 class TestSolutionField:
     def test_solution_assembles_rooted_kernel_and_h(self, plan):
         mp = MultSolverPlan(P3)
-        s = plan.spectral.frequencies
-        field, flagged = mult_codomain(0.5, mp, plan.spectral)
+        s = plan.frequencies
+        field, flagged = mult_codomain(0.5, mp, plan)
         h = h_mult_quadrature(s, 0.5, mp)
         rooted = rooted_codomain(s, 0.5, P3.D, P3.p + 1)
         want = rooted * h ** (1.0 / (1.0 - 3.0))
         assert not flagged.any()
-        assert np.max(np.abs(field.values - want)) < 1e-12
+        assert np.max(np.abs(field - want)) < 1e-12
 
     def test_pole_in_s_is_tamed_by_the_rooted_kernel(self, plan):
         # h crosses zero between grid points, but the rooted kernel has
         # already decayed there; the physical inversion stays finite
         mp = MultSolverPlan(P2)
-        s = plan.spectral.frequencies
+        s = plan.frequencies
         h = h_mult_quadrature(s, 1.0, mp)
         finite = np.isfinite(h)
         assert np.any(h[finite] > 0.0) and np.any(h[finite] < 0.0)
@@ -171,8 +171,8 @@ class TestScalingHypotheses:
         from nwspectral.conv import ConvSolution, solve_physical
         dt = 1e-3
         times = np.array([0.5 + k * dt for k in range(-2, 3)])
-        sol = ConvSolution(P2, grid=plan.spectral)
-        fam = np.stack([solve_physical(t, sol, plan) for t in times])
+        sol = ConvSolution(P2, grid=plan)
+        fam = np.stack([solve_physical(t, sol) for t in times])
         res = pde_residual_physical(fam, times, plan, P2, "none",
                                     "convolution_p")
         assert res < 1e-5
@@ -215,7 +215,7 @@ class TestCorollary:
             for tau in (0.25, 1.0):
                 a = corollary_integrand(svals, tau, mp, "paper_formula")
                 b = corollary_integrand(svals, tau, mp, "discrete_oracle",
-                                        grid=plan.spectral)
+                                        grid=plan)
                 ratio = a / b
                 law = (4.0 * math.pi * tau) ** (-(i + 1) / 2.0)
                 spread = (ratio.max() - ratio.min()) / np.abs(ratio).max()
@@ -228,10 +228,10 @@ class TestCorollary:
         mp = MultSolverPlan(PhysicalParams(1.0, 1.0, 0.5, 2))
         r0 = h_mult_corollary(0.0, 1.0, mp, "paper_formula") \
             / h_mult_corollary(0.0, 1.0, mp, "discrete_oracle",
-                               grid=plan.spectral)
+                               grid=plan)
         r5 = h_mult_corollary(0.5, 1.0, mp, "paper_formula") \
             / h_mult_corollary(0.5, 1.0, mp, "discrete_oracle",
-                               grid=plan.spectral)
+                               grid=plan)
         assert abs(r0 - r5) > 0.5
 
     def test_rejects_unknown_source(self):
@@ -268,14 +268,14 @@ class TestFisherForms:
         # comparison rather than one against the solver's absolute floor
         for t_end in (1.0, 0.01, 100.0):
             field = fisher_quadratic(t_end, MultSolverPlan(params),
-                                     prob_product=0.25, grid=plan.spectral)
+                                     prob_product=0.25, grid=plan)
             for target in (0.0, 0.2, 0.5):
-                idx = int(np.argmin(np.abs(plan.spectral.frequencies
+                idx = int(np.argmin(np.abs(plan.frequencies
                                            - target)))
-                s0 = float(plan.spectral.frequencies[idx])
+                s0 = float(plan.frequencies[idx])
                 ode = solve_ivp(rhs, (0.0, t_end), [1.0], args=(s0,),
                                 method="DOP853", rtol=1e-12, atol=1e-300)
-                assert float(field.values[idx].real) == pytest.approx(
+                assert float(field[idx].real) == pytest.approx(
                     ode.y[0, -1], rel=1e-9), (t_end, target)
 
     def test_quadratic_requires_p_two(self):

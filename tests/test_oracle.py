@@ -5,7 +5,7 @@ import pytest
 
 from nwspectral import oracle, report
 from nwspectral.conv import ConvSolution
-from nwspectral.core import PhysicalParams, SolverError, make_grids
+from nwspectral.core import PhysicalParams, SolverError
 from nwspectral.kernels import gauss_codomain
 from nwspectral.oracle import (BlowUpError, OracleRun, _dealiased_power,
                                resolve_initial, scalar_ode_oracle,
@@ -17,8 +17,7 @@ P_REF = PhysicalParams(1.0, 1.0, 0.1, 2)
 
 @pytest.fixture(scope="module")
 def plan40():
-    spatial, spectral = make_grids(256, 40.0)
-    return TransformPlan(spatial, spectral)
+    return TransformPlan(256, 40.0)
 
 
 def _run(params, plan, t_end, steps, **kw):
@@ -30,7 +29,7 @@ class TestRunValidation:
     def test_rejects_unstable_step(self, plan40):
         # the bound is 2.5 over the stage's Lipschitz constant eps p A^(p-1)
         params = PhysicalParams(1.0, 1.0, 2.0, 2)
-        u0 = ConvSolution(params, grid=plan40.spectral).u_field(0.05).values
+        u0 = ConvSolution(params, grid=plan40).u_field(0.05)
         bound = 2.5 / (4.0 * float(np.abs(u0).max()))
         assert stability_bound(params, plan40, u0) == pytest.approx(bound)
         dt = bound * 1.001
@@ -46,7 +45,7 @@ class TestRunValidation:
         dt = 0.95 / 154
         for b in (0.0, 1.0):
             params = PhysicalParams(1.0, b, -0.5, 2)
-            cfl = 0.5 / ((2.0 * math.pi * plan.spectral.s_max) ** 2 + b)
+            cfl = 0.5 / ((2.0 * math.pi * plan.s_max) ** 2 + b)
             assert dt > 4.0 * cfl
             run = OracleRun(params, plan, "convolution_p", 0.05, 1.0, dt)
             assert run.n_steps == 154
@@ -54,7 +53,7 @@ class TestRunValidation:
     def test_linear_run_takes_any_dividing_step(self, plan40):
         params = PhysicalParams(1.0, 1.0, 0.0, 2)
         assert stability_bound(params, plan40) == math.inf
-        s = plan40.spectral.frequencies
+        s = plan40.frequencies
         want = gauss_codomain(s, 0.5, 1.0) * math.exp(-0.5)
         for steps in (1, 3):
             got = step_etd(_run(params, plan40, 0.5, steps)).values[-1]
@@ -62,7 +61,7 @@ class TestRunValidation:
                           / np.maximum(np.abs(want), 1e-300)) < 1e-13
 
     def test_multiplicative_bound_reads_the_physical_amplitude(self, plan40):
-        s = plan40.spectral.frequencies
+        s = plan40.frequencies
         init = gauss_codomain(s, 0.3, 1.0)
         peak = float(np.abs(plan40.inverse(init)).max())
         got = stability_bound(P_REF, plan40, init, "multiplicative_p")
@@ -105,7 +104,7 @@ class TestStepping:
         params = PhysicalParams(1.0, 1.0, 0.0, 2)
         run = _run(params, plan40, 0.5, 92)
         traj = step_etd(run)
-        s = plan40.spectral.frequencies
+        s = plan40.frequencies
         want = gauss_codomain(s, 0.5, 1.0) * math.exp(-0.5)
         got = traj.values[-1]
         # the integrating factor makes eps = 0 exact, not just accurate
@@ -115,7 +114,7 @@ class TestStepping:
     def test_agrees_with_closed_form(self, plan40):
         run = _run(P_REF, plan40, 0.5, 92)
         traj = step_etd(run)
-        want = ConvSolution(P_REF, grid=plan40.spectral).u_field(0.5).values
+        want = ConvSolution(P_REF, grid=plan40).u_field(0.5)
         rel = np.linalg.norm(traj.values[-1] - want) / np.linalg.norm(want)
         assert rel < 1e-3
 
@@ -123,7 +122,7 @@ class TestStepping:
         # the step loop regroups the IFRK4 arithmetic; the plain tableau
         # must agree to round-off
         run = _run(P_REF, plan40, 0.5, 92)
-        s = plan40.spectral.frequencies
+        s = plan40.frequencies
         beta = 1.0 + (2.0 * np.pi * s) ** 2
         dt = run.dt
         E, E2 = np.exp(-beta * dt), np.exp(-beta * dt / 2.0)
@@ -141,7 +140,7 @@ class TestStepping:
         # measured away from the round-off floor by running toward a pole
         params = PhysicalParams(1.0, 1.0, 2.0, 2)
         exact = ConvSolution(params,
-                             grid=plan40.spectral).u_field(0.65).values
+                             grid=plan40).u_field(0.65)
         errs = []
         for steps in (123, 246, 492):
             traj = step_etd(_run(params, plan40, 0.65, steps))
@@ -161,8 +160,9 @@ class TestStepping:
         assert abs(end - start) < 1e-13 * abs(start)
 
     def test_trajectory_layout(self, plan40):
-        run = _run(P_REF, plan40, 0.5, 92, store_every=10)
+        run = _run(P_REF, plan40, 0.5, 92)
         traj = step_etd(run)
+        assert len(traj.times) == 93
         assert traj.times[0] == pytest.approx(0.05)
         assert traj.times[-1] == pytest.approx(0.5)
         assert traj.values.shape == (len(traj.times), plan40.n)
@@ -176,7 +176,7 @@ class TestStepping:
 
     def test_non_finite_state_aborts(self, plan40):
         # a NaN forcing makes the state NaN, which no amplitude check passes
-        s = plan40.spectral.frequencies
+        s = plan40.frequencies
 
         def forcing(freq, t):
             return np.full(np.shape(freq), np.nan if t > 0.1 else 0.0)
@@ -189,7 +189,7 @@ class TestStepping:
     def test_steps_from_the_start_resolved_at_construction(self, plan40,
                                                            monkeypatch):
         run = _run(P_REF, plan40, 0.5, 92)
-        want = ConvSolution(P_REF, grid=plan40.spectral).u_field(0.05).values
+        want = ConvSolution(P_REF, grid=plan40).u_field(0.05)
         assert np.max(np.abs(run.start - want)) == 0.0
 
         def resolve_again(run):
@@ -200,7 +200,7 @@ class TestStepping:
 
     def test_multiplicative_stage_uses_dealiasing(self, plan40):
         # a pure mode at k drives 2k; without padding it would fold back
-        s = plan40.spectral.frequencies
+        s = plan40.frequencies
         init = gauss_codomain(s, 0.3, 1.0)
         run = OracleRun(PhysicalParams(1.0, 1.0, 0.2, 2), plan40,
                         "multiplicative_p", 0.05, 0.1,
@@ -213,7 +213,7 @@ class TestResolveInitial:
     def test_closed_form_default(self, plan40):
         run = _run(P_REF, plan40, 0.5, 92)
         got = resolve_initial(run)
-        want = ConvSolution(P_REF, grid=plan40.spectral).u_field(0.05).values
+        want = ConvSolution(P_REF, grid=plan40).u_field(0.05)
         assert np.max(np.abs(got - want)) == 0.0
 
     def test_explicit_array_wins(self, plan40):
@@ -235,8 +235,8 @@ class TestResolveInitial:
         run = _run(params, plan40, 0.4, 144,
                    nonlinearity="forced_convolution", forcing=forcing)
         got = step_etd(run).values[-1]
-        solution = ConvSolution(params, grid=plan40.spectral)
-        want = solve_forced(0.4, solution, forcing).values
+        solution = ConvSolution(params, grid=plan40)
+        want = solve_forced(0.4, solution, forcing)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-6
 
     def test_rejects_non_finite_initial(self, plan40):
@@ -290,8 +290,8 @@ class TestReportStepCounts:
 
     @staticmethod
     def _doubling_gap(make_run, steps, whole=False):
-        coarse = step_etd(make_run(steps, 1)).values
-        fine = step_etd(make_run(2 * steps, 2)).values
+        coarse = step_etd(make_run(steps)).values
+        fine = step_etd(make_run(2 * steps)).values[::2]
         if not whole:
             coarse, fine = coarse[-1], fine[-1]
         return np.linalg.norm(coarse - fine) / np.linalg.norm(fine)
@@ -302,9 +302,9 @@ class TestReportStepCounts:
         plan = default_plan()
         params = PhysicalParams(1.0, b, -0.5, 2)
 
-        def make_run(steps, store_every):
+        def make_run(steps):
             return OracleRun(params, plan, "convolution_p", 0.05, 1.0,
-                             0.95 / steps, store_every=store_every)
+                             0.95 / steps)
 
         gap = self._doubling_gap(make_run, report._MAX_PRINCIPLE_STEPS,
                                  whole=True)
@@ -317,13 +317,12 @@ class TestReportStepCounts:
         def forcing(s, tau):
             return 0.2 * gauss(s) * report._pulse_window(tau)
 
-        ic = solve_forced(0.05, ConvSolution(P_REF, grid=plan40.spectral),
-                          forcing, initial=1.0).values
+        ic = solve_forced(0.05, ConvSolution(P_REF, grid=plan40),
+                          forcing, initial=1.0)
 
-        def make_run(steps, store_every):
+        def make_run(steps):
             return OracleRun(P_REF, plan40, "forced_convolution", 0.05, 0.4,
-                             0.35 / steps, initial=ic, forcing=forcing,
-                             store_every=store_every)
+                             0.35 / steps, initial=ic, forcing=forcing)
 
         gap = self._doubling_gap(make_run, report._FORCED_STEPS)
         assert gap <= 1e-9, gap
@@ -333,14 +332,14 @@ class TestReportStepCounts:
         from nwspectral.conv import solve_with_kernels
         khat = report._gauss_profile(0.25)
         start = solve_with_kernels(
-            0.05, ConvSolution(P_REF, grid=plan40.spectral), extra=(khat,),
-            mode=mode).values
+            0.05, ConvSolution(P_REF, grid=plan40), extra=(khat,),
+            mode=mode)
         profile = khat if mode == "convolution_K2" else None
 
-        def make_run(steps, store_every):
+        def make_run(steps):
             return OracleRun(P_REF, plan40, "convolution_p", 0.05, 0.4,
                              0.35 / steps, initial=start,
-                             kernel_profile=profile, store_every=store_every)
+                             kernel_profile=profile)
 
         gap = self._doubling_gap(make_run, report._KERNEL_MODE_STEPS)
         assert gap <= 1e-9, gap
