@@ -6,16 +6,20 @@ significant digits), so identical configs produce byte-identical files.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
 from . import __version__
 from . import conv as _conv
+from . import csvtext
+from .csvtext import fmt17
 from .core import SUITES, KernelSpec, PhysicalParams, SolverError
 from .spectral import BAND_LIMIT_FLOOR, TransformPlan
 
@@ -196,23 +200,26 @@ class RunConfig:
         return out
 
 
-def _fmt17(value):
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return "%.17g" % value
+class _Stopwatch:
+    """Wall seconds per stage, summed over every pass through it."""
 
+    def __init__(self):
+        self.seconds = {}
 
-def _field_rows(x, u):
-    """CSV rows of one field, "x,u" at %.17g with CRLF endings, formatted
-    in one operation; the same text as joining _fmt17 of every value."""
-    values = np.column_stack((x, u)).ravel().tolist()
-    return ("%.17g,%.17g\r\n" * len(x)) % tuple(values)
+    @contextlib.contextmanager
+    def stage(self, name):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = (self.seconds.get(name, 0.0)
+                                  + time.perf_counter() - start)
 
 
 def _write_csv(path, header, body):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\r\n" + body)
+    with open(path, "wb") as fh:
+        fh.write(header + b"\r\n")
+        fh.write(body)
 
 
 def _write_json(path, payload):
@@ -241,8 +248,9 @@ def _conv_residual(solution, freqs, t):
         return None
 
 
-def _solve_fields(config, plan):
-    """Per-time spatial samples plus equation-specific metadata."""
+def _solve_fields(config, plan, watch):
+    """Per-time spatial samples plus equation-specific metadata; the
+    inverse transforms are timed as watch's "transform" stage."""
     x = plan.points
     freqs = plan.frequencies
     params = config.params
@@ -259,15 +267,16 @@ def _solve_fields(config, plan):
         margins = {}
         for t in config.times:
             field = solution.u_field(t)
-            margins[_fmt17(t)] = plan.band_limit_margin(params.D, t)
+            margins[fmt17(t)] = plan.band_limit_margin(params.D, t)
             if (t_root is None or t < t_root) \
                     and np.all(np.isfinite(field)):
-                columns.append(plan.inverse(field))
-                residuals[_fmt17(t)] = _conv_residual(solution, freqs, t)
+                with watch.stage("transform"):
+                    columns.append(plan.inverse(field))
+                residuals[fmt17(t)] = _conv_residual(solution, freqs, t)
             else:
                 columns.append(np.full(x.shape, math.nan))
                 pole_times.append(t)
-                residuals[_fmt17(t)] = None
+                residuals[fmt17(t)] = None
         meta["residual_summary"] = {"codomain_ode_relative": residuals}
         meta["band_limit_margin"] = margins
         meta["aliasing_flag"] = any(m > BAND_LIMIT_FLOOR
@@ -282,19 +291,20 @@ def _solve_fields(config, plan):
         gaps = {}
         for t in config.times:
             field, flagged = _mult.mult_codomain(t, mplan, plan)
-            overflow[_fmt17(t)] = int(np.count_nonzero(flagged))
+            overflow[fmt17(t)] = int(np.count_nonzero(flagged))
             if np.all(np.isfinite(field)):
-                columns.append(plan.inverse(field))
+                with watch.stage("transform"):
+                    columns.append(plan.inverse(field))
                 # the scalar quadrature cross-checks the closed-form h
                 cert = _mult.h_mult_certificate(0.0, t, mplan)
                 h0 = _mult.h_mult_quadrature(0.0, t, mplan)
-                residuals[_fmt17(t)] = cert.error
-                gaps[_fmt17(t)] = abs(h0 - cert.value) / abs(cert.value)
+                residuals[fmt17(t)] = cert.error
+                gaps[fmt17(t)] = abs(h0 - cert.value) / abs(cert.value)
             else:
                 columns.append(np.full(x.shape, math.nan))
                 pole_times.append(t)
-                residuals[_fmt17(t)] = None
-                gaps[_fmt17(t)] = None
+                residuals[fmt17(t)] = None
+                gaps[fmt17(t)] = None
         meta["overflow_flagged"] = overflow
         meta["residual_summary"] = {"h_quadrature_error_at_s0": residuals,
                                     "h_closed_form_vs_quad_at_s0": gaps}
@@ -305,7 +315,7 @@ def _solve_fields(config, plan):
             printed = _conv.fisher_erfc_approx(x, t, params)
             exact = _conv.fisher_erfc_transform_consistent(x, t, params)
             columns.append(printed)
-            gaps[_fmt17(t)] = float(np.max(np.abs(printed - exact)))
+            gaps[fmt17(t)] = float(np.max(np.abs(printed - exact)))
         meta["residual_summary"] = {"printed_vs_consistent_linf": gaps}
 
     else:  # fisher_genetic
@@ -332,22 +342,33 @@ def cmd_solve(config_path, out_dir, svg):
     os.makedirs(out_dir, exist_ok=True)
     plan = TransformPlan(config.grid_n, config.grid_length)
 
-    x, columns, meta = _solve_fields(config, plan)
+    watch = _Stopwatch()
+    start = time.perf_counter()
+    x, columns, meta = _solve_fields(config, plan, watch)
+    # evaluate: the fields and their diagnostics, transforms excluded
+    watch.seconds["evaluate"] = (time.perf_counter() - start
+                                 - watch.seconds.get("transform", 0.0))
 
+    with watch.stage("format"):
+        x_text = csvtext.slots(x)  # one x column serves every time
     files = {}
     for k, (t, u) in enumerate(zip(config.times, columns)):
         name = "%s_t%03d.csv" % (config.basename, k)
-        _write_csv(os.path.join(out_dir, name), "x,u", _field_rows(x, u))
+        with watch.stage("format"):
+            body = csvtext.rows(x_text, csvtext.slots(u))
+        with watch.stage("write"):
+            _write_csv(os.path.join(out_dir, name), b"x,u", body)
         files[name] = {"time": t}
         if svg:
             from .svgplot import line_plot
             sname = "%s_t%03d.svg" % (config.basename, k)
-            doc = line_plot(x, [u], labels=["t = %g" % t],
-                            title="%s solution" % config.equation,
-                            xlabel="x", ylabel="u")
-            with open(os.path.join(out_dir, sname), "w", encoding="utf-8",
-                      newline="\n") as fh:
-                fh.write(doc)
+            with watch.stage("write"):
+                doc = line_plot(x, [u], labels=["t = %g" % t],
+                                title="%s solution" % config.equation,
+                                xlabel="x", ylabel="u")
+                with open(os.path.join(out_dir, sname), "w",
+                          encoding="utf-8", newline="\n") as fh:
+                    fh.write(doc)
             files[sname] = {"time": t}
 
     payload = {
@@ -356,6 +377,10 @@ def cmd_solve(config_path, out_dir, svg):
         "files": files,
     }
     payload.update(meta)
+    # the only key whose values change between identical runs
+    payload["timings"] = {stage + "_s": watch.seconds.get(stage, 0.0)
+                          for stage in ("evaluate", "transform", "format",
+                                        "write")}
     meta_name = "%s_meta.json" % config.basename
     _write_json(os.path.join(out_dir, meta_name), payload)
 
@@ -419,9 +444,9 @@ def cmd_sweep(config_path, out_path):
     eps, b, p = np.array(tuples, dtype=float).T
     # root of h at s = 0, where C = 1 and beta = b
     t0, regime = _conv.root_time(1.0, b, eps, p)
-    rows = ["%s,%s,%d,%s,%s\r\n" % (_fmt17(e), _fmt17(bb), pp, _fmt17(t), r)
+    rows = ["%s,%s,%d,%s,%s\r\n" % (fmt17(e), fmt17(bb), pp, fmt17(t), r)
             for (e, bb, pp), t, r in zip(tuples, t0, regime.tolist())]
-    _write_csv(out_path, "eps,b,p,t0,regime", "".join(rows))
+    _write_csv(out_path, b"eps,b,p,t0,regime", "".join(rows).encode())
     print("wrote %d row(s) to %s" % (len(rows), out_path))
     return 0
 

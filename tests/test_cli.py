@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from nwspectral.cli import (ConfigError, RunConfig, _field_rows, _fmt17,
-                            load_json, main)
+from nwspectral import csvtext
+from nwspectral.cli import ConfigError, RunConfig, load_json, main
+from nwspectral.csvtext import fmt17
 from nwspectral.conv import root_locus
 from nwspectral.core import PhysicalParams
 from nwspectral.spectral import BAND_LIMIT_FLOOR, TransformPlan
@@ -241,12 +242,25 @@ class TestSolveOutputs:
                       1.0 / 3.0, 1e300, -7.0, 0.1])
         u = np.array([math.nan, -math.nan, math.inf, -math.inf, -0.0,
                       -5e-324, 1.5e-310, 123456789.0, -2.5e-17])
-        want = "".join("%s,%s\r\n" % (_fmt17(a), _fmt17(b))
+        want = "".join("%s,%s\r\n" % (fmt17(a), fmt17(b))
                        for a, b in zip(x, u))
-        assert _field_rows(x, u) == want
+        assert csvtext.rows(csvtext.slots(x), csvtext.slots(u)) \
+            == want.encode()
         assert want.split("\r\n")[:5] == [
             "-1.5,nan", "-0,nan", "0,inf", "4.9406564584124654e-324,-inf",
             "2.2250738585072014e-308,-0"]
+
+    def test_sidecar_timings_sit_apart(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["solve", "--config", os.path.join(DATA, "golden_conv.json"),
+              "--out-dir", str(out)])
+        meta = json.loads((out / "golden_meta.json").read_text("utf-8"))
+        timings = meta.pop("timings")
+        assert sorted(timings) == ["evaluate_s", "format_s", "transform_s",
+                                   "write_s"]
+        assert all(isinstance(s, float) and s >= 0.0
+                   for s in timings.values())
+        assert not any("timing" in key for key in meta)
 
     def test_csv_header_and_line_endings(self, tmp_path):
         out = tmp_path / "out"
@@ -308,6 +322,19 @@ class TestSolveOutputs:
         assert meta["root_locus"] == {"regime": "root_at",
                                       "t0": pytest.approx(t0, abs=1e-12)}
 
+    def test_pole_time_rows_are_x_then_nan(self, tmp_path, capsys):
+        # two formatting blocks of rows, each "x,nan" with x at %.17g
+        cfg = _base_config(times=[0.9], grid={"n": 8192, "length": 20.0})
+        cfg["params"]["eps"] = 2.0
+        path = _write(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out-dir", str(out)]) == 0
+        assert "pole flagged" in capsys.readouterr().out
+        want = "x,u\r\n" + "".join(
+            "%s,nan\r\n" % fmt17(x)
+            for x in TransformPlan(8192, 20.0).points)
+        assert (out / "run_t000.csv").read_bytes() == want.encode()
+
     @pytest.mark.parametrize("b, eps, times, t0", [
         (1.0, 2.0, [1.0], math.log(2.0)),    # one time, past the root
         (0.0, 0.5, [1.0, 3.0, 5.0], 2.0),    # b = 0: t0 = C/(eps (p-1))
@@ -356,7 +383,7 @@ class TestSolveOutputs:
         assert main(["solve", "--config", path, "--out-dir", str(out)]) == 0
         assert ("aliasing flagged" in capsys.readouterr().out) is flagged
         meta = json.loads((out / "run_meta.json").read_text("utf-8"))
-        margin = meta["band_limit_margin"][_fmt17(t)]
+        margin = meta["band_limit_margin"][fmt17(t)]
         assert margin == TransformPlan(n, 20.0).band_limit_margin(1.0, t)
         assert (margin > BAND_LIMIT_FLOOR) is flagged
         assert meta["aliasing_flag"] is flagged
@@ -513,6 +540,12 @@ class TestColdStart:
 
     def test_cli_import_loads_no_scipy(self):
         assert _fresh_interpreter("import nwspectral.cli") == "[]"
+
+    def test_cli_import_builds_no_csv_tables(self):
+        code = ("import nwspectral.cli\n"
+                "assert nwspectral.csvtext._tables.cache_info().currsize "
+                "== 0")
+        assert _fresh_interpreter(code) == "[]"
 
     def test_sweep_and_conv_solve_load_no_scipy(self, tmp_path):
         sweep = _write(tmp_path, "s.json", {"eps": [0.5, 2.0], "b": [1.0],

@@ -19,7 +19,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nwspectral.cli import EQUATIONS, _fmt17, main
+from nwspectral.cli import EQUATIONS, main
+from nwspectral.csvtext import fmt17
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None,
@@ -143,7 +144,7 @@ def test_solve_output_is_finite_or_flagged(config):
             assert all(math.isfinite(float(r["x"])) for r in rows)
             u = np.array([float(r["u"]) for r in rows])
             if not np.all(np.isfinite(u)):
-                assert t in poles or overflow.get(_fmt17(t), 0) > 0, \
+                assert t in poles or overflow.get(fmt17(t), 0) > 0, \
                     "%s: non-finite u at t = %r, not flagged" % (name, t)
 
 
